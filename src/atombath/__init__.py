@@ -7,7 +7,8 @@ Lindblad rates of a moving two-level system
 the joint state with an inert partner qubit (:mod:`atombath.dynamics`),
 and the entanglement of that pair is tracked to its sudden death
 (:mod:`atombath.entanglement`).  :mod:`atombath.specfun` supplies the
-polylogarithms behind the closed forms and :mod:`atombath.cli` exposes
+Bose window integral behind the derivative-coupling occupation and the
+polylogarithms of its closed-form tail, and :mod:`atombath.cli` exposes
 everything as scan commands.
 """
 
@@ -58,7 +59,13 @@ from .entanglement import (
     sudden_death_time,
     sudden_death_time_bisection,
 )
-from .specfun import QuadratureError, bose_einstein_integral, bose_tail, polylog
+from .specfun import (
+    QuadratureError,
+    bose_einstein_integral,
+    bose_tail,
+    bose_window,
+    polylog,
+)
 
 __version__ = "0.1.0"
 
@@ -77,6 +84,7 @@ __all__ = [
     "bloch_from_density",
     "bose_einstein_integral",
     "bose_tail",
+    "bose_window",
     "check_density_matrix",
     "concurrence",
     "concurrence_closed_form",

@@ -27,7 +27,7 @@ from enum import Enum
 
 from scipy import integrate
 
-from .specfun import QuadratureError, bose_tail
+from .specfun import QuadratureError, bose_window
 
 __all__ = [
     "Coupling",
@@ -250,13 +250,14 @@ def n_udw(detector: DetectorParams, bath: BathParams) -> float:
     if v < SMALL_VELOCITY:
         return _n_udw_taylor(b, v)
     red, blue = doppler_shifts(v)
-    # log(1 - e^-x) via expm1 keeps precision at small x; at large x the
-    # exponential underflows and the term drops out cleanly
     hi = b * blue
     lo = b * red
-    log_hi = math.log(-math.expm1(-hi)) if hi <= _EXP_UNDERFLOW else 0.0
-    log_lo = math.log(-math.expm1(-lo)) if lo <= _EXP_UNDERFLOW else 0.0
-    return math.sqrt(1.0 - v * v) / (2.0 * v * b) * (log_hi - log_lo)
+    if lo > _EXP_UNDERFLOW:
+        return 0.0
+    # the window logarithm as one log1p: in a cold bath both
+    # log(1 - e^-x) are ~ -e^-x and their difference would cancel
+    ratio = math.exp(-lo) * -math.expm1(lo - hi) / -math.expm1(-lo)
+    return math.sqrt(1.0 - v * v) / (2.0 * v * b) * math.log1p(ratio)
 
 
 def _n_td_taylor(b: float, v: float) -> float:
@@ -287,8 +288,8 @@ def n_td(detector: DetectorParams, bath: BathParams) -> float:
         3 (1 - v^2)^(3/2) / (2 v b^3 (3 + v^2)) *
             int_{b*red}^{b*blue} x^2/(e^x - 1) dx
 
-    evaluated through the closed-form tail integral
-    :func:`atombath.specfun.bose_tail`.  Shares the Planck ``v -> 0``
+    evaluated through the window integral
+    :func:`atombath.specfun.bose_window`.  Shares the Planck ``v -> 0``
     limit with :func:`n_udw` but weights the blue end of the window less
     once the temperature is low, which makes it fall off faster with
     speed in the regimes of interest.
@@ -300,7 +301,7 @@ def n_td(detector: DetectorParams, bath: BathParams) -> float:
     red, blue = doppler_shifts(v)
     gm2 = 1.0 - v * v
     pref = 3.0 * gm2 * math.sqrt(gm2) / (2.0 * v * b ** 3 * (3.0 + v * v))
-    return pref * (bose_tail(b * red) - bose_tail(b * blue))
+    return pref * bose_window(b * red, b * blue)
 
 
 def n_udw_high_temp(detector: DetectorParams, bath: BathParams) -> float:

@@ -1,11 +1,21 @@
 """Polylogarithms and Bose-Einstein integrals.
 
 The thermal occupation numbers seen by a moving detector reduce to
-window averages of the Planck distribution, and the cubic-weighted
-window integral has a closed antiderivative in terms of ``Li_1``,
-``Li_2`` and ``Li_3``.  Only those three orders, on real arguments in
-``[0, 1]``, are needed anywhere in this package, so the implementation
-sticks to the defining power series
+window averages of the Planck distribution.  The cubic-weighted window
+is the integral ``int_lo^hi t^2/(e^t - 1) dt``, evaluated by
+:func:`bose_window` without cancellation from two short expansions of
+``G(x) = int_0^x t^2/(e^t - 1) dt``:
+
+* below ``x = 2`` the Bernoulli series of the Debye function ``D_3``,
+  ``G(x) = sum_n B_n x^(n+2) / ((n + 2) n!)``, convergent for
+  ``|x| < 2 pi``;
+* from ``x = 2`` on the geometric tail
+  ``T(x) = 2 zeta(3) - G(x) = sum_k e^(-k x) (x^2/k + 2x/k^2 + 2/k^3)``.
+
+Neither needs more than about 20 terms.  The same tail also has a
+closed antiderivative in ``Li_1``, ``Li_2`` and ``Li_3``
+(:func:`bose_tail`); :func:`polylog` supports those three orders on real
+arguments in ``[0, 1]`` through the defining power series
 
     Li_s(z) = sum_{k >= 1} z^k / k^s
 
@@ -26,6 +36,7 @@ __all__ = [
     "ZETA_3",
     "polylog",
     "bose_tail",
+    "bose_window",
     "bose_einstein_integral",
 ]
 
@@ -36,6 +47,33 @@ ZETA_3 = 1.2020569031595942854  # Apery's constant, zeta(3)
 # give up (and fall back to the z = 1 value) past the iteration cap
 _TERM_CUTOFF = 1e-16
 _SERIES_CAP = 10 ** 7
+
+# bose_window switches from the Bernoulli series of G to the geometric
+# tail T here: at x = 2 the series needs 16 even terms for 1e-17 and the
+# tail ratio is e^-2, so neither runs long
+_WINDOW_SPLIT = 2.0
+
+# B_2k / ((2k + 2) (2k)!) for k = 1..16, the even-order coefficients of
+# G(x) = x^2/2 - x^3/6 + sum_k c_k x^(2k+2); the last one weighs 7e-18 of
+# the sum at x = 2
+_DEBYE3_COEFFS = (
+    2.0833333333333332e-02,
+    -2.314814814814815e-04,
+    4.133597883597884e-06,
+    -8.267195767195767e-08,
+    1.7397297489890083e-09,
+    -3.774421527633924e-11,
+    8.364085331677924e-13,
+    -1.8831557201792126e-14,
+    4.293031028138922e-16,
+    -9.885766811627554e-18,
+    2.2954178451500956e-19,
+    -5.367101802235586e-21,
+    1.2623953712962384e-22,
+    -2.9845058090125156e-24,
+    7.087351413555259e-26,
+    -1.689644314374177e-27,
+)
 
 
 class QuadratureError(RuntimeError):
@@ -89,7 +127,9 @@ def polylog(s: int, z: float) -> float:
         t = total + y
         comp = (t - total) - y
         total = t
-        if term < _TERM_CUTOFF * total:
+        # <= so that a term underflowed to 0 ends the sum even when the
+        # running total is itself subnormal
+        if term <= _TERM_CUTOFF * total:
             return total
         zk *= z
     return ZETA_2 if s == 2 else ZETA_3
@@ -117,6 +157,54 @@ def bose_tail(x: float) -> float:
         # x beyond ~745: every term underflows
         return 0.0
     return 2.0 * polylog(3, z) + 2.0 * x * polylog(2, z) + x * x * polylog(1, z)
+
+
+def _debye3_head(x: float) -> float:
+    # G(x) = int_0^x t^2/(e^t - 1) dt by its Bernoulli series, |x| < 2 pi
+    y = x * x
+    acc = 0.0
+    for c in reversed(_DEBYE3_COEFFS):
+        acc = acc * y + c
+    return y * (0.5 - x / 6.0 + y * acc)
+
+
+def _debye3_tail(x: float) -> float:
+    # T(x) = int_x^inf t^2/(e^t - 1) dt by its image sum, x >= 2
+    q = math.exp(-x)
+    if q == 0.0:
+        return 0.0
+    total = 0.0
+    qk = 1.0
+    k = 0
+    while True:
+        k += 1
+        qk *= q
+        term = qk * (x * x / k + 2.0 * x / (k * k) + 2.0 / (k * k * k))
+        total += term
+        # an underflowed power of e^-x ends the sum as well
+        if term <= 1e-17 * total:
+            return total
+
+
+def bose_window(lo: float, hi: float) -> float:
+    """Window of the quadratic Bose-Einstein integral.
+
+    Evaluates ``int_lo^hi t^2 / (e^t - 1) dt`` for ``0 <= lo <= hi``.
+    Below ``lo = 2`` it is ``G(hi) - G(lo)`` with ``G`` the Bernoulli
+    (Debye ``D_3``) series, and ``G(hi) = 2 zeta(3) - T(hi)`` once
+    ``hi >= 2``; from ``lo = 2`` on it is ``T(lo) - T(hi)`` with ``T``
+    the geometric tail.  Neither difference carries the ``2 zeta(3)``
+    offset on which two :func:`bose_tail` values cancel for small
+    arguments, so the relative error stays near ``1e-16 hi / (hi - lo)``
+    at any temperature.  ``T`` is 0 once ``e^-x`` underflows.
+    """
+    if not 0.0 <= lo <= hi:
+        raise ValueError(f"bose_window requires 0 <= lo <= hi, got ({lo!r}, {hi!r})")
+    if lo >= _WINDOW_SPLIT:
+        return _debye3_tail(lo) - _debye3_tail(hi)
+    if hi < _WINDOW_SPLIT:
+        return _debye3_head(hi) - _debye3_head(lo)
+    return (2.0 * ZETA_3 - _debye3_tail(hi)) - _debye3_head(lo)
 
 
 def bose_einstein_integral(s: int, x: float) -> float:

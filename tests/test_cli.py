@@ -224,3 +224,14 @@ def test_output_file_and_stdout_agree(tmp_path, capsys):
     assert main(args + ["--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text() == streamed
+
+
+def test_td_death_time_in_a_very_hot_bath(capsys):
+    # the Doppler window is ~1e-18 wide here, far below what a difference
+    # of two Bose tails near 2 zeta(3) resolves
+    rc = main(["death-time", "--coupling", "td", "--beta-omega", "1e-9", "--velocity", "0.9"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    death = float(lines[1].split(",")[-1])
+    assert math.isfinite(death) and death > 0.0

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atombath.coefficients import (
     BathParams,
@@ -23,6 +25,7 @@ from atombath.coefficients import (
     planck_occupation,
     rate_unit,
 )
+from atombath.specfun import bose_window
 
 
 def _detector(v, coupling=Coupling.UDW, omega=1.0, lam=1.0, v_max=0.99):
@@ -241,3 +244,34 @@ def test_lindblad_coefficients_dispatch():
     assert ct.gamma == pytest.approx(gamma_td(_detector(0.5, Coupling.DERIVATIVE)), rel=1e-15)
     assert ct.n == pytest.approx(n_td(_detector(0.5, Coupling.DERIVATIVE), bath), rel=1e-15)
     assert ct.omega_eff == 1.0
+
+
+def test_td_occupation_matches_quadrature_in_hot_baths():
+    # hot baths: the window is tiny next to the 2 zeta(3) of either tail
+    for b in (1e-8, 1e-6, 1e-4):
+        bath = BathParams(beta=b)
+        for v in (1e-4, 0.5, 0.99):
+            d = _detector(v, Coupling.DERIVATIVE)
+            assert n_td(d, bath) == pytest.approx(n_td_quadrature(d, bath), rel=1e-10)
+
+
+def test_udw_occupation_matches_quadrature_in_cold_baths():
+    # cold baths: both log(1 - e^-x) at the window edges are ~ -e^-x
+    for b in (12.0, 24.0):
+        bath = BathParams(beta=b)
+        d = _detector(1e-4)
+        assert n_udw(d, bath) == pytest.approx(n_udw_quadrature(d, bath), rel=1e-10)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    log_b=st.floats(min_value=-8.0, max_value=math.log10(20.0)),
+    v=st.floats(min_value=1e-4, max_value=0.99),
+)
+def test_td_occupation_matches_quadrature_property(log_b, v):
+    b = 10.0 ** log_b
+    bath = BathParams(beta=b)
+    d = _detector(v, Coupling.DERIVATIVE)
+    assert n_td(d, bath) == pytest.approx(n_td_quadrature(d, bath), rel=1e-10)
+    red, blue = doppler_shifts(v)
+    assert bose_window(b * red, b * blue) > 0.0

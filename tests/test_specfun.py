@@ -1,4 +1,4 @@
-"""Series polylogarithms against frozen oracle values and the quadrature route.
+"""Series polylogarithms and Bose windows against frozen oracle values and quadrature.
 
 Reference numbers were produced with 30-digit arbitrary precision
 arithmetic before being locked in here.
@@ -14,6 +14,7 @@ from atombath.specfun import (
     ZETA_3,
     bose_einstein_integral,
     bose_tail,
+    bose_window,
     polylog,
 )
 
@@ -132,3 +133,66 @@ def test_bose_einstein_integral_domain_errors():
 
 def test_quadrature_error_is_runtime_error():
     assert issubclass(QuadratureError, RuntimeError)
+
+
+def test_polylog_subnormal_argument_terminates():
+    # the first term is the whole sum, and the second underflows to 0
+    # against a subnormal running total
+    assert polylog(2, 5e-324) == 5e-324
+    assert polylog(3, 5e-324) == 5e-324
+
+
+def test_bose_tail_with_subnormal_fugacity():
+    # e^-720 is subnormal
+    tail = bose_tail(720.0)
+    assert math.isfinite(tail)
+    assert 0.0 <= tail < bose_tail(700.0)
+
+
+def _window_reference(lo, hi):
+    from scipy.integrate import quad
+
+    ref, err = quad(
+        lambda t: t * t / math.expm1(t) if t > 0.0 else 0.0, lo, hi,
+        epsabs=0.0, epsrel=1e-13, limit=300,
+    )
+    assert err < 1e-12 * ref
+    return ref
+
+
+def test_bose_window_matches_direct_quadrature():
+    # windows below, across and above the switch at x = 2
+    for lo, hi in [(0.0, 0.5), (1e-9, 1e-8), (0.1, 1.9), (0.5, 3.0),
+                   (1.5, 40.0), (2.0, 5.0), (3.0, 60.0), (30.0, 31.0)]:
+        assert bose_window(lo, hi) == pytest.approx(_window_reference(lo, hi), rel=1e-12)
+
+
+def test_bose_window_continuous_across_switch():
+    below = math.nextafter(2.0, 0.0)
+    for other in (0.5, 3.0):
+        lo, hi = sorted((other, below))
+        lo2, hi2 = sorted((other, 2.0))
+        assert bose_window(lo, hi) == pytest.approx(bose_window(lo2, hi2), rel=1e-14)
+
+
+def test_bose_window_agrees_with_tail_where_tail_is_exact():
+    for lo, hi in [(0.5, 1.0), (1.0, 3.0), (5.0, 10.0)]:
+        assert bose_window(lo, hi) == pytest.approx(
+            bose_tail(lo) - bose_tail(hi), rel=1e-13
+        )
+
+
+def test_bose_window_limits():
+    assert bose_window(1.0, 1.0) == 0.0
+    assert bose_window(0.0, 800.0) == pytest.approx(2.0 * ZETA_3, rel=1e-15)
+    # the whole window lies where e^-x underflows
+    assert bose_window(750.0, 800.0) == 0.0
+    assert bose_window(700.0, math.inf) == pytest.approx(bose_tail(700.0), rel=1e-12)
+    # leading small-x behaviour (hi^2 - lo^2)/2
+    assert bose_window(0.0, 1e-10) == pytest.approx(5e-21, rel=1e-9)
+
+
+def test_bose_window_domain_errors():
+    for lo, hi in [(-0.1, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.nan)]:
+        with pytest.raises(ValueError):
+            bose_window(lo, hi)
