@@ -59,7 +59,8 @@ class ConfigError(ValueError):
     """Configuration file or flag value is unusable."""
 
 
-_COUPLINGS = {"udw": Coupling.UDW, "td": Coupling.DERIVATIVE}
+# the largest tau grid a scan builds; far above any plotted curve
+_MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,9 @@ class ScanConfig:
 
     ``tau`` is a ``(start, stop, steps)`` grid of dimensionless times
     (``gamma_0 tau``); the ``wightman`` subcommand reads the same field
-    as its grid of proper-time separations.
+    as its grid of proper-time separations.  Physical parameters are
+    checked by the library's own parameter types; ``epsilon`` is checked
+    where the ``wightman`` subcommand uses it.
     """
 
     coupling: Coupling = Coupling.UDW
@@ -85,34 +88,34 @@ class ScanConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.coupling, Coupling):
-            raise ConfigError(f"coupling must be one of {sorted(_COUPLINGS)}")
-        if not self.beta_omega or any(b <= 0.0 for b in self.beta_omega):
-            raise ConfigError("beta_omega needs at least one positive value")
-        if not 0.0 < self.v_max < 1.0:
-            raise ConfigError(f"v_max must lie in (0, 1), got {self.v_max!r}")
-        if not self.velocity or any(
-            not 0.0 <= v <= self.v_max for v in self.velocity
-        ):
-            raise ConfigError(
-                f"velocity values must lie in [0, v_max={self.v_max}]"
-            )
-        start, stop, steps = self.tau
-        if not (0.0 <= start < stop and steps >= 2):
-            raise ConfigError(
-                "tau grid needs 0 <= start < stop and steps >= 2, "
-                f"got {self.tau!r}"
-            )
-        if not self.omega > 0.0:
-            raise ConfigError(f"omega must be positive, got {self.omega!r}")
-        if not self.coupling_strength > 0.0:
-            raise ConfigError(
-                f"coupling_strength must be positive, got {self.coupling_strength!r}"
-            )
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        start, stop, steps = self.tau
+        if not (0.0 <= start < stop < math.inf and 2 <= steps <= _MAX_STEPS):
+            raise ConfigError(
+                "tau grid needs 0 <= start < stop < inf and "
+                f"2 <= steps <= {_MAX_STEPS}, got {self.tau!r}"
+            )
+        if not math.isfinite(self.delta_omega):
+            raise ConfigError(f"delta_omega must be finite, got {self.delta_omega!r}")
+        for key in ("beta_omega", "velocity"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} needs at least one value")
+        self._check("coupling", lambda c: DetectorParams(1.0, 1.0, 0.0, c))
+        self._check("omega", lambda x: DetectorParams(x, 1.0, 0.0))
+        self._check("coupling_strength", lambda x: DetectorParams(1.0, x, 0.0))
+        self._check("v_max", lambda x: DetectorParams(1.0, 1.0, 0.0, v_max=x))
+        self._check("velocity", lambda x: DetectorParams(1.0, 1.0, x, v_max=self.v_max))
+        self._check("beta_omega", lambda x: BathParams(x / self.omega))
+
+    def _check(self, key: str, build) -> None:
+        # the library type's own check, re-raised as a config error naming the key
+        value = getattr(self, key)
+        for x in value if isinstance(value, tuple) else (value,):
+            try:
+                build(x)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: {exc}") from None
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -144,10 +147,10 @@ def _parse_grid(key: str, raw: str) -> tuple[float, float, int]:
 
 def _parse_coupling(key: str, raw: str) -> Coupling:
     try:
-        return _COUPLINGS[raw.strip().lower()]
-    except KeyError:
+        return Coupling(raw.strip().lower())
+    except ValueError:
         raise ConfigError(
-            f"{key} must be one of {sorted(_COUPLINGS)}, got {raw!r}"
+            f"{key} must be one of {sorted(c.value for c in Coupling)}, got {raw!r}"
         ) from None
 
 
@@ -158,19 +161,39 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise ConfigError(f"{key} must be true or false, got {raw!r}")
 
 
-_KEY_PARSERS = {
-    "coupling": _parse_coupling,
-    "beta_omega": _parse_float_list,
-    "velocity": _parse_float_list,
-    "tau": _parse_grid,
-    "delta_omega": _parse_float,
-    "omega": _parse_float,
-    "coupling_strength": _parse_float,
-    "v_max": _parse_float,
-    "epsilon": _parse_float,
-    "oracle": _parse_bool,
-    "format": lambda key, raw: raw.strip(),
-    "output": lambda key, raw: raw.strip(),
+def _parse_text(key: str, raw: str) -> str:
+    return raw.strip()
+
+
+def _emit_list(values: tuple[float, ...]) -> str:
+    return ", ".join(repr(x) for x in values)
+
+
+def _emit_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+# key -> (parse, emit, metavar, help).  Each key is a config-file key and
+# a --flag (underscores as dashes) read by the same parser; a None
+# metavar makes the flag a switch that stands for "true".
+_KEYS = {
+    "coupling": (_parse_coupling, lambda c: c.value, "udw|td", "field coupling"),
+    "beta_omega": (_parse_float_list, _emit_list, "LIST", "comma separated beta*omega"),
+    "velocity": (_parse_float_list, _emit_list, "LIST", "comma separated speeds"),
+    "tau": (
+        _parse_grid,
+        lambda g: f"{g[0]!r}:{g[1]!r}:{g[2]}",
+        "START:STOP:STEPS",
+        "time grid in 1/gamma_0 units (separation grid for wightman)",
+    ),
+    "delta_omega": (_parse_float, repr, "X", "level-splitting shift"),
+    "omega": (_parse_float, repr, "X", "level splitting"),
+    "coupling_strength": (_parse_float, repr, "X", "coupling constant"),
+    "v_max": (_parse_float, repr, "X", "largest admissible speed"),
+    "epsilon": (_parse_float, repr, "X", "correlation regulator"),
+    "oracle": (_parse_bool, _emit_bool, None, "append brute-force cross-check columns"),
+    "format": (_parse_text, str, "csv|json", "output format"),
+    "output": (_parse_text, str, "PATH", "write here instead of stdout"),
 }
 
 
@@ -194,10 +217,10 @@ def _parse_config_values(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
-            values[key] = _KEY_PARSERS[key](key, raw.strip())
+            values[key] = _KEYS[key][0](key, raw.strip())
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     return values
@@ -206,21 +229,10 @@ def _parse_config_values(text: str) -> dict:
 def emit_config(cfg: ScanConfig) -> str:
     """Render a config back to text; ``parse_config`` round-trips it."""
     lines = [
-        f"coupling = {cfg.coupling.value}",
-        "beta_omega = " + ", ".join(repr(b) for b in cfg.beta_omega),
-        "velocity = " + ", ".join(repr(v) for v in cfg.velocity),
-        f"tau = {cfg.tau[0]!r}:{cfg.tau[1]!r}:{cfg.tau[2]}",
-        f"delta_omega = {cfg.delta_omega!r}",
-        f"omega = {cfg.omega!r}",
-        f"coupling_strength = {cfg.coupling_strength!r}",
-        f"v_max = {cfg.v_max!r}",
+        f"{key} = {emit(getattr(cfg, key))}"
+        for key, (_, emit, _, _) in _KEYS.items()
+        if getattr(cfg, key) is not None
     ]
-    if cfg.epsilon is not None:
-        lines.append(f"epsilon = {cfg.epsilon!r}")
-    lines.append(f"oracle = {'true' if cfg.oracle else 'false'}")
-    lines.append(f"format = {cfg.format}")
-    if cfg.output is not None:
-        lines.append(f"output = {cfg.output}")
     return "\n".join(lines) + "\n"
 
 
@@ -306,35 +318,21 @@ def _run_wightman(cfg: ScanConfig):
     cols = ["beta_omega", "velocity", "s", "re_w", "im_w"]
     if cfg.oracle:
         cols += ["re_w_oracle", "im_w_oracle"]
+    if cfg.coupling is Coupling.UDW:
+        closed, oracle = wightman_moving, wightman_moving_quadrature
+    else:
+        closed, oracle = wightman_derivative, wightman_derivative_fd
     rows = []
     for bw in cfg.beta_omega:
-        beta = bw / cfg.omega
-        if cfg.epsilon is not None and not cfg.epsilon <= 0.1 * beta:
-            raise ConfigError(
-                f"epsilon={cfg.epsilon!r} is too large for beta*omega={bw!r}; "
-                "the regulator must stay at or below 0.1*beta"
-            )
-        bath = BathParams(beta=beta)
+        bath = BathParams(beta=bw / cfg.omega)
         for v in cfg.velocity:
             det = _detector(cfg, v)
             for s in _grid(cfg.tau):
-                if cfg.coupling is Coupling.UDW:
-                    w = wightman_moving(s, det, bath, cfg.epsilon)
-                    oracle = (
-                        wightman_moving_quadrature(s, det, bath, cfg.epsilon)
-                        if cfg.oracle
-                        else None
-                    )
-                else:
-                    w = wightman_derivative(s, det, bath, cfg.epsilon)
-                    oracle = (
-                        wightman_derivative_fd(s, det, bath, cfg.epsilon)
-                        if cfg.oracle
-                        else None
-                    )
+                w = closed(s, det, bath, cfg.epsilon)
                 row = [bw, v, s, w.real, w.imag]
-                if oracle is not None:
-                    row += [oracle.real, oracle.imag]
+                if cfg.oracle:
+                    w = oracle(s, det, bath, cfg.epsilon)
+                    row += [w.real, w.imag]
                 rows.append(row)
     return cols, rows
 
@@ -347,7 +345,7 @@ _RUNNERS = {
 }
 
 # the wightman grid is a separation axis, so it must not start at the pole
-_WIGHTMAN_DEFAULT_GRID = (0.1, 3.0, 30)
+_COMMAND_DEFAULTS = {"wightman": {"tau": (0.1, 3.0, 30)}}
 
 
 def _format_value(x: float) -> str:
@@ -395,65 +393,26 @@ def _add_common_options(sp: argparse.ArgumentParser) -> None:
     # defaults stay None so that only flags the user actually passed
     # override the config file
     sp.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    sp.add_argument("--coupling", choices=sorted(_COUPLINGS))
-    sp.add_argument(
-        "--beta-omega",
-        metavar="LIST",
-        help="comma separated values of beta*omega",
-    )
-    sp.add_argument(
-        "--velocity", metavar="LIST", help="comma separated detector speeds"
-    )
-    sp.add_argument(
-        "--tau",
-        metavar="START:STOP:STEPS",
-        help="time grid in 1/gamma_0 units (separation grid for wightman)",
-    )
-    sp.add_argument("--delta-omega", type=float, help="level-splitting shift")
-    sp.add_argument("--omega", type=float, help="level splitting")
-    sp.add_argument("--coupling-strength", type=float, help="coupling constant")
-    sp.add_argument("--v-max", type=float, help="largest admissible speed")
-    sp.add_argument("--epsilon", type=float, help="correlation regulator")
-    sp.add_argument(
-        "--oracle",
-        action="store_true",
-        default=None,
-        help="append brute-force cross-check columns",
-    )
-    sp.add_argument("--format", choices=["csv", "json"])
-    sp.add_argument("--output", metavar="PATH", help="write here instead of stdout")
+    for key, (_, _, metavar, help_text) in _KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        if metavar is None:
+            sp.add_argument(flag, action="store_const", const="true", help=help_text)
+        else:
+            sp.add_argument(flag, metavar=metavar, help=help_text)
 
 
 def _config_from_args(args: argparse.Namespace) -> ScanConfig:
-    values: dict = {}
-    if args.command == "wightman":
-        values["tau"] = _WIGHTMAN_DEFAULT_GRID
+    values = dict(_COMMAND_DEFAULTS.get(args.command, {}))
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         values.update(_parse_config_values(text))
-    if args.coupling is not None:
-        values["coupling"] = _COUPLINGS[args.coupling]
-    if args.beta_omega is not None:
-        values["beta_omega"] = _parse_float_list("beta_omega", args.beta_omega)
-    if args.velocity is not None:
-        values["velocity"] = _parse_float_list("velocity", args.velocity)
-    if args.tau is not None:
-        values["tau"] = _parse_grid("tau", args.tau)
-    for key, flag in (
-        ("delta_omega", args.delta_omega),
-        ("omega", args.omega),
-        ("coupling_strength", args.coupling_strength),
-        ("v_max", args.v_max),
-        ("epsilon", args.epsilon),
-        ("oracle", args.oracle),
-        ("format", args.format),
-        ("output", args.output),
-    ):
-        if flag is not None:
-            values[key] = flag
+    for key, (parse, _, _, _) in _KEYS.items():
+        raw = getattr(args, key)
+        if raw is not None:
+            values[key] = parse(key, raw)
     return ScanConfig(**values)
 
 
@@ -466,11 +425,16 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.output is None:
             sys.stdout.write(text)
         else:
-            Path(cfg.output).write_text(text)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            try:
+                Path(cfg.output).write_text(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output file {cfg.output}: {exc}") from None
+    # LinAlgError subclasses ValueError, so this clause must come first
     except (QuadratureError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    # ConfigError, and the parameter checks of the library's own types
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0

@@ -89,10 +89,11 @@ class DetectorParams:
     v_max: float = DEFAULT_V_MAX
 
     def __post_init__(self) -> None:
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be non-negative, got {self.lam!r}")
+        # lam = 0 leaves no spontaneous rate and a zero rate_unit
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
         if not 0.0 < self.v_max < 1.0:
             raise ValueError(f"v_max must lie in (0, 1), got {self.v_max!r}")
         if not 0.0 <= self.velocity <= self.v_max:
@@ -115,8 +116,8 @@ class BathParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta!r}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
 
     @property
     def temperature(self) -> float:
@@ -300,8 +301,9 @@ def n_td(detector: DetectorParams, bath: BathParams) -> float:
         return _n_td_taylor(b, v)
     red, blue = doppler_shifts(v)
     gm2 = 1.0 - v * v
-    pref = 3.0 * gm2 * math.sqrt(gm2) / (2.0 * v * b ** 3 * (3.0 + v * v))
-    return pref * bose_window(b * red, b * blue)
+    pref = 3.0 * gm2 * math.sqrt(gm2) / (2.0 * v * (3.0 + v * v))
+    # three divisions by b, not one by b**3, which underflows below ~1e-103
+    return pref * bose_window(b * red, b * blue) / b / b / b
 
 
 def n_udw_high_temp(detector: DetectorParams, bath: BathParams) -> float:
@@ -371,10 +373,13 @@ def _window_quadrature(b: float, v: float, weight_power: int) -> float:
     red, blue = doppler_shifts(v)
 
     def integrand(x: float) -> float:
-        return x ** weight_power / math.expm1(x)
+        # 1/(e^x - 1) written with e^-x, which cannot overflow past x = 709
+        return x ** weight_power * math.exp(-x) / -math.expm1(-x)
 
+    # epsabs=0 keeps the stopping target relative, as the check below is;
+    # cold windows have values far below any fixed absolute target
     val, err = integrate.quad(
-        integrand, b * red, b * blue, epsabs=1e-14, epsrel=1e-12, limit=400
+        integrand, b * red, b * blue, epsabs=0.0, epsrel=1e-12, limit=400
     )
     if not math.isfinite(val) or err > 1e-10 * max(abs(val), 1e-280):
         raise QuadratureError(
@@ -402,4 +407,4 @@ def n_td_quadrature(detector: DetectorParams, bath: BathParams) -> float:
         return planck_occupation(b)
     val = _window_quadrature(b, v, 2)
     gm2 = 1.0 - v * v
-    return 3.0 * gm2 * math.sqrt(gm2) / (2.0 * v * b ** 3 * (3.0 + v * v)) * val
+    return 3.0 * gm2 * math.sqrt(gm2) / (2.0 * v * (3.0 + v * v)) * val / b / b / b

@@ -89,17 +89,10 @@ class CorrelationQuery:
     epsilon: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta!r}")
+        BathParams(self.beta)  # validates beta
         if self.r < 0.0:
             raise ValueError(f"r must be non-negative, got {self.r!r}")
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", DEFAULT_EPSILON_FRACTION * self.beta)
-        if not 0.0 < self.epsilon <= 0.1 * self.beta:
-            raise ValueError(
-                f"epsilon must lie in (0, 0.1*beta], got {self.epsilon!r} "
-                f"for beta={self.beta!r}"
-            )
+        object.__setattr__(self, "epsilon", _resolve_epsilon(self.beta, self.epsilon))
 
 
 @dataclass(frozen=True)

@@ -196,25 +196,22 @@ def sudden_death_time_bisection(
 ) -> float:
     """Bracketing cross-check of :func:`sudden_death_time`.
 
-    Bisects the signed coherence-minus-threshold function on
-    ``[0, 100/a]``; if no sign change occurs in that window the death
-    time is reported as ``math.inf`` (the window covers any ``n`` that
-    is not absurdly small, since ``tau* ~ -log(n)/a`` as ``n -> 0``).
+    Bisects on the sign of :func:`concurrence_closed_form` over
+    ``[0, 100/a]``; if the curve is still positive at the right end the
+    death time is reported as ``math.inf`` (the window covers any ``n``
+    that is not absurdly small, since ``tau* ~ -log(n)/a`` as
+    ``n -> 0``).
     """
     if coeffs.n == 0.0:
         return math.inf
-    a = coeffs.a
-    k = _coherence_threshold_rate(coeffs)
-
-    def f(t: float) -> float:
-        return math.exp(-0.5 * a * t) - (1.0 - math.exp(-a * t)) * k / (2.0 * a)
-
-    lo, hi = 0.0, 100.0 / a
-    if f(hi) > 0.0:
+    lo, hi = 0.0, 100.0 / coeffs.a
+    if concurrence_closed_form(coeffs, hi) > 0.0:
         return math.inf
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
+        if not lo < mid < hi:  # adjacent floats: tol is below their spacing
+            break
+        if concurrence_closed_form(coeffs, mid) > 0.0:
             lo = mid
         else:
             hi = mid

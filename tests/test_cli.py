@@ -1,10 +1,16 @@
 """Command-line surface: config handling, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from atombath import cli
 from atombath.cli import ConfigError, ScanConfig, emit_config, main, parse_config
@@ -216,6 +222,103 @@ def test_exit_three_on_numerical_failure(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--beta-omega", "nan"],
+        ["--beta-omega", "inf"],
+        ["--omega", "inf"],
+        ["--tau", "0:inf:5"],
+        ["--delta-omega", "nan"],
+        ["--tau", "0:1:100000000000"],
+    ],
+)
+def test_exit_two_on_non_finite_or_unbounded_input(flags, capsys):
+    start = time.perf_counter()
+    assert main(["concurrence"] + flags) == 2
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
+def test_exit_two_on_unwritable_output(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    assert main(["coeffs", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "error: cannot write output file" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(np.linalg.LinAlgError("synthetic breakdown"), 3), (ValueError("synthetic"), 2)],
+)
+def test_runner_errors_map_to_exit_codes(exc, code, monkeypatch, capsys):
+    # LinAlgError is a ValueError, yet a numerical failure
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setitem(cli._RUNNERS, "coeffs", fail)
+    assert main(["coeffs"]) == code
+    assert "synthetic" in capsys.readouterr().err
+
+
+_EDGES = st.sampled_from(
+    ["nan", "inf", "-inf", "0", "-0.5", "-1", "1e308", "1e-308", "5e-324"]
+)
+
+
+def _number(lo, hi):
+    # a third each: the key's useful range, edge values, any float
+    return st.one_of(
+        st.floats(min_value=lo, max_value=hi).map(repr), _EDGES, st.floats().map(repr)
+    )
+
+
+_FLAG_VALUES = {
+    "--coupling": st.sampled_from(["udw", "td", "TD", "both"]),
+    "--beta-omega": st.lists(_number(1e-3, 50.0), max_size=3).map(",".join),
+    "--velocity": st.lists(_number(0.0, 0.99), max_size=3).map(",".join),
+    "--tau": st.tuples(_number(0.0, 1.0), _number(1.0, 10.0), st.integers(-2, 50)).map(
+        lambda g: f"{g[0]}:{g[1]}:{g[2]}"
+    ),
+    "--delta-omega": _number(-1.0, 1.0),
+    "--omega": _number(0.1, 10.0),
+    "--coupling-strength": _number(0.1, 2.0),
+    "--v-max": _number(0.5, 0.999),
+    "--epsilon": _number(1e-4, 0.1),
+    "--format": st.sampled_from(["csv", "json", "yaml"]),
+}
+
+
+@st.composite
+def _argv(draw):
+    argv = [draw(st.sampled_from(sorted(cli._RUNNERS)))]
+    flags = st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=3, unique=True)
+    for flag in draw(flags):
+        argv += [flag, draw(_FLAG_VALUES[flag])]
+    if draw(st.booleans()):
+        argv.append("--oracle")
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(argv=_argv())
+@example(argv=["death-time", "--coupling-strength", "4.579534295400053e-15", "--oracle"])
+def test_exit_code_contract_holds_for_any_flags(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        assert exc.code == 2
+        return
+    assert rc in (0, 2, 3)
+    if rc:
+        assert err.getvalue() and not out.getvalue()
+
+
 def test_output_file_and_stdout_agree(tmp_path, capsys):
     args = ["coeffs", "--beta-omega", "1.0", "--velocity", "0.3"]
     assert main(args) == 0
@@ -230,6 +333,15 @@ def test_td_death_time_in_a_very_hot_bath(capsys):
     # the Doppler window is ~1e-18 wide here, far below what a difference
     # of two Bose tails near 2 zeta(3) resolves
     rc = main(["death-time", "--coupling", "td", "--beta-omega", "1e-9", "--velocity", "0.9"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    death = float(lines[1].split(",")[-1])
+    assert math.isfinite(death) and death > 0.0
+
+
+def test_td_death_time_below_the_cube_underflow(capsys):
+    rc = main(["death-time", "--coupling", "td", "--beta-omega", "1e-110", "--velocity", "0.5"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2

@@ -59,6 +59,17 @@ def test_bath_params_validation():
     assert BathParams(beta=2.0).temperature == 0.5
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_params_reject_non_finite_and_zero_values(bad):
+    # lam = 0 would zero the rate unit the CLI divides its time axis by
+    with pytest.raises(ValueError, match="omega"):
+        _detector(0.5, omega=bad)
+    with pytest.raises(ValueError, match="lam"):
+        _detector(0.5, lam=bad)
+    with pytest.raises(ValueError, match="beta"):
+        BathParams(beta=bad)
+
+
 def test_lindblad_coefficients_derived_rates():
     c = LindbladCoefficients(gamma=0.7, n=1.3, omega_eff=2.0, delta_omega=0.1)
     assert c.a == pytest.approx(0.7 * 3.6, rel=1e-15)
@@ -253,6 +264,26 @@ def test_td_occupation_matches_quadrature_in_hot_baths():
         for v in (1e-4, 0.5, 0.99):
             d = _detector(v, Coupling.DERIVATIVE)
             assert n_td(d, bath) == pytest.approx(n_td_quadrature(d, bath), rel=1e-10)
+
+
+def test_occupations_match_quadrature_on_the_cold_side():
+    # window values of 1e-180 to 1e-11: far below any absolute quadrature
+    # target, and past the overflow of e^x at (100, 0.99)
+    for b, v in ((30.0, 0.3), (30.0, 0.5), (100.0, 0.99)):
+        bath = BathParams(beta=b)
+        du = _detector(v)
+        dt = _detector(v, Coupling.DERIVATIVE)
+        assert n_udw(du, bath) == pytest.approx(n_udw_quadrature(du, bath), rel=1e-10)
+        assert n_td(dt, bath) == pytest.approx(n_td_quadrature(dt, bath), rel=1e-10)
+
+
+def test_td_occupation_below_the_cube_underflow():
+    # b**3 underflows to 0 below b ~ 1e-103; the occupation is ~ 1/b
+    b, v = 1e-110, 0.5
+    leading = 3.0 * math.sqrt(1.0 - v * v) / (b * (3.0 + v * v))
+    assert n_td(_detector(v, Coupling.DERIVATIVE), BathParams(beta=b)) == pytest.approx(
+        leading, rel=1e-10
+    )
 
 
 def test_udw_occupation_matches_quadrature_in_cold_baths():

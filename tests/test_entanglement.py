@@ -165,6 +165,14 @@ def test_death_time_random_coefficients():
         assert abs(sudden_death_time_bisection(c) - t) < 1e-9
 
 
+def test_bisection_ends_when_tol_is_below_the_float_spacing():
+    # a tiny gamma puts the root near 1e29, where adjacent doubles are
+    # ~1e13 apart: the bracket stops shrinking long before 1e-12
+    slow = LindbladCoefficients(gamma=1e-30, n=0.5, omega_eff=1.0)
+    t = sudden_death_time(slow)
+    assert sudden_death_time_bisection(slow) == pytest.approx(t, rel=1e-12)
+
+
 def test_zero_temperature_never_dies():
     cold = LindbladCoefficients(gamma=1.0, n=0.0, omega_eff=1.0)
     assert math.isinf(sudden_death_time(cold))
