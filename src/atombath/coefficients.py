@@ -27,7 +27,7 @@ from enum import Enum
 
 from scipy import integrate
 
-from .specfun import QuadratureError, bose_window
+from .specfun import QuadratureError, bose_head_ratio, bose_window
 
 __all__ = [
     "Coupling",
@@ -59,6 +59,10 @@ SMALL_VELOCITY = 1e-4
 
 # past this, exp(-beta*omega*red) underflows for any physical window
 _EXP_UNDERFLOW = 700.0
+
+# n_td takes its Doppler window with beta*omega squared factored out once
+# the window's blue edge lies below this; far above the subnormal range
+_TINY_WINDOW = 1e-100
 
 DEFAULT_V_MAX = 0.99
 
@@ -226,12 +230,15 @@ def rate_unit(detector: DetectorParams) -> float:
 def _n_udw_taylor(b: float, v: float) -> float:
     # N = P + c2 v^2 + O(v^4), P the Planck occupation at beta*omega = b.
     # c2 follows from expanding the window average to second order in v.
+    # 1 - e^-b comes from expm1 and b/(1 - e^-b) stays one ratio r, so
+    # nothing cancels or underflows in a hot bath
     if b > _EXP_UNDERFLOW:
         return 0.0
     u = math.exp(-b)
-    one = 1.0 - u
+    one = -math.expm1(-b)
     p = u / one
-    c2 = (b * u / (2.0 * one * one)) * (b * (1.0 + u) / (3.0 * one) - 1.0)
+    r = b / one
+    c2 = (r * p / 2.0) * (r * (1.0 + u) / 3.0 - 1.0)
     return p + c2 * v * v
 
 
@@ -264,19 +271,17 @@ def n_udw(detector: DetectorParams, bath: BathParams) -> float:
 def _n_td_taylor(b: float, v: float) -> float:
     # N = P + d2 v^2 + O(v^4) for the cubic-weighted window average; the
     # second derivatives of the tail integral enter through the window
-    # endpoints and the (3 + v^2) normalization contributes -4P/3
+    # endpoints and the (3 + v^2) normalization contributes -4P/3.  As in
+    # _n_udw_taylor, expm1 and r = b/(1 - e^-b) keep hot baths exact
     if b > _EXP_UNDERFLOW:
         return 0.0
     u = math.exp(-b)
-    one = 1.0 - u
+    one = -math.expm1(-b)
     p = u / one
+    r = b / one
     # F''(b) and F'''(b) for F(x) = int_x^inf t^2/(e^t - 1) dt
-    f2 = -2.0 * b * p + b * b * u / (one * one)
-    f3 = (
-        -2.0 * p
-        + 4.0 * b * u / (one * one)
-        - b * b * u * (1.0 + u) / (one * one * one)
-    )
+    f2 = (r - 2.0) * b * p
+    f3 = -2.0 * p + 4.0 * r * p - r * r * p * (1.0 + u)
     d2 = -(4.0 / 3.0) * p - f2 / (2.0 * b) - f3 / 6.0
     return p + d2 * v * v
 
@@ -302,6 +307,11 @@ def n_td(detector: DetectorParams, bath: BathParams) -> float:
     red, blue = doppler_shifts(v)
     gm2 = 1.0 - v * v
     pref = 3.0 * gm2 * math.sqrt(gm2) / (2.0 * v * (3.0 + v * v))
+    if b * blue < _TINY_WINDOW:
+        # the window itself (~ b^2) would near the subnormals: take b^2
+        # out of its head series, window/b^2 = blue^2 g(b blue) - red^2 g(b red)
+        scaled = blue * blue * bose_head_ratio(b * blue) - red * red * bose_head_ratio(b * red)
+        return pref * scaled / b
     # three divisions by b, not one by b**3, which underflows below ~1e-103
     return pref * bose_window(b * red, b * blue) / b / b / b
 

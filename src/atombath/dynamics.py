@@ -71,26 +71,41 @@ def check_density_matrix(
     trace_tol: float = 1e-12,
     psd_tol: float = 1e-10,
 ) -> np.ndarray:
-    """Validate a two-qubit density matrix and return it as complex ndarray.
+    """Validate two-qubit density matrices and return them as complex ndarray.
 
-    Hermiticity and unit trace are enforced at ``herm_tol`` and
-    ``trace_tol``; eigenvalues may dip to ``-psd_tol`` before the state
-    is rejected, which leaves room for the roundoff floor of evolved
-    states.
+    ``rho`` is one 4x4 matrix or a ``(..., 4, 4)`` stack of them; every
+    state in a stack is checked, and an error names the index of the
+    first one that fails.  Hermiticity and unit trace are enforced at
+    ``herm_tol`` and ``trace_tol``; eigenvalues may dip to ``-psd_tol``
+    before a state is rejected, which leaves room for the roundoff floor
+    of evolved states.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
-        raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
-    tr = rho.trace()
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace must be 1, got {tr!r}")
-    low = np.linalg.eigvalsh(rho).min()
-    if low < -psd_tol:
-        raise ValueError(f"matrix has negative eigenvalue {low:.3e}")
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
+    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    _reject_first(
+        herm > herm_tol, lambda i: f"matrix is not Hermitian: max deviation {herm[i]:.3e}"
+    )
+    tr = rho.trace(axis1=-2, axis2=-1)
+    _reject_first(abs(tr - 1.0) > trace_tol, lambda i: f"trace must be 1, got {tr[i]!r}")
+    low = np.linalg.eigvalsh(rho).min(axis=-1)
+    _reject_first(low < -psd_tol, lambda i: f"matrix has negative eigenvalue {low[i]:.3e}")
     return rho
+
+
+def _reject_first(bad: np.ndarray, message, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` for the first state flagged in ``bad``, if any.
+
+    ``bad`` holds one flag per state of a stack (a 0-d array for a
+    single state); ``message(i)`` describes state ``i``, and a stack's
+    error is prefixed with that index.
+    """
+    if not bad.any():
+        return
+    i = np.unravel_index(np.argmax(bad), bad.shape)
+    where = f"state {', '.join(map(str, i))}: " if i else ""
+    raise error(where + message(i))
 
 
 def check_bloch_tensor(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -242,21 +257,30 @@ def evolve_numeric(
     return rho
 
 
-def shared_state(coeffs: LindbladCoefficients, tau: float) -> np.ndarray:
+def shared_state(coeffs: LindbladCoefficients, tau: float | np.ndarray) -> np.ndarray:
     """Joint state at proper time ``tau`` for the maximally entangled start.
 
     Closed form of the evolved Bell pair: an X-shaped matrix whose
     coherences rotate and damp at half the rate of the population
     relaxation.  Equivalent to evolving :func:`bell_state` with
-    :func:`evolve_closed_form` and reassembling.
+    :func:`evolve_closed_form` and reassembling.  A scalar ``tau`` gives
+    one 4x4 matrix, an array of times a ``tau.shape + (4, 4)`` stack.
     """
-    if tau < 0.0:
-        raise ValueError(f"tau must be non-negative, got {tau!r}")
+    tau = np.asarray(tau, dtype=float)
+    _reject_first(tau < 0.0, lambda i: f"tau must be non-negative, got {float(tau[i])!r}")
     a, b, om = coeffs.a, coeffs.b, coeffs.omega_eff
-    e_half = math.exp(-0.5 * a * tau)
-    e_full = math.exp(-a * tau)
-    cos_ = e_half * math.cos(om * tau)
-    sin_ = e_half * math.sin(om * tau)
+    times = tau.ravel().tolist()
+
+    # exp, cos and sin from math, one time at a time, as for every other
+    # closed form here: numpy's vector versions can differ in the last
+    # bit, which the Wootters oracle turns into ~1e-12 on near-pure states
+    def per_time(values: list[float]) -> np.ndarray:
+        return np.array(values).reshape(tau.shape + (1, 1))
+
+    e_half = per_time([math.exp(-0.5 * a * t) for t in times])
+    e_full = per_time([math.exp(-a * t) for t in times])
+    cos_ = e_half * per_time([math.cos(om * t) for t in times])
+    sin_ = e_half * per_time([math.sin(om * t) for t in times])
     m = (
         PAULI_PAIR[0][0]
         + cos_ * (PAULI_PAIR[1][1] - PAULI_PAIR[2][2])

@@ -13,14 +13,13 @@ independently so they can be played against each other in tests.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import LindbladCoefficients
-from .dynamics import PAULI_PAIR, check_density_matrix
+from .dynamics import PAULI_PAIR, _reject_first, check_density_matrix
 
 __all__ = [
     "XState",
@@ -29,7 +28,6 @@ __all__ = [
     "concurrence_closed_form",
     "sudden_death_time",
     "sudden_death_time_bisection",
-    "random_xstate",
 ]
 
 _YY = PAULI_PAIR[2][2]
@@ -40,35 +38,42 @@ _IMAG_TOL = 1e-10
 _NEG_TOL = 1e-12
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of an arbitrary two-qubit state.
+def concurrence(rho: np.ndarray) -> float | np.ndarray:
+    """Wootters concurrence of arbitrary two-qubit states.
 
     Square roots of the eigenvalues of ``rho (Y x Y) rho* (Y x Y)`` in
-    decreasing order, largest minus the rest, floored at zero.
+    decreasing order, largest minus the rest, floored at zero.  One 4x4
+    ``rho`` gives a ``float``; a ``(..., 4, 4)`` stack gives an array of
+    the leading shape, from one batched eigensolve.
 
     Raises
     ------
     numpy.linalg.LinAlgError
-        If the eigenvalues come back with imaginary parts above 1e-10 or
-        real parts below -1e-12; either means the solver (or the input)
-        has drifted too far for the result to be trusted.  Negative
-        parts within the tolerance are clamped to zero.
+        If the eigenvalues of any state come back with imaginary parts
+        above 1e-10 or real parts below -1e-12; either means the solver
+        (or the input) has drifted too far for the result to be trusted.
+        Negative parts within the tolerance are clamped to zero.  For a
+        stack the message names the first such state.
     """
     rho = check_density_matrix(rho)
     flipped = _YY @ rho.conj() @ _YY
     lam = np.linalg.eigvals(rho @ flipped)
-    worst_imag = np.max(np.abs(lam.imag))
-    if worst_imag > _IMAG_TOL:
-        raise np.linalg.LinAlgError(
-            f"eigenvalues of rho rho~ have imaginary part {worst_imag:.3e}"
-        )
+    worst_imag = np.abs(lam.imag).max(axis=-1)
+    _reject_first(
+        worst_imag > _IMAG_TOL,
+        lambda i: f"eigenvalues of rho rho~ have imaginary part {worst_imag[i]:.3e}",
+        np.linalg.LinAlgError,
+    )
     ev = lam.real
-    if ev.min() < -_NEG_TOL:
-        raise np.linalg.LinAlgError(
-            f"eigenvalue of rho rho~ is {ev.min():.3e}, below -1e-12"
-        )
-    roots = np.sort(np.sqrt(np.clip(ev, 0.0, None)))[::-1]
-    return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+    low = ev.min(axis=-1)
+    _reject_first(
+        low < -_NEG_TOL,
+        lambda i: f"eigenvalue of rho rho~ is {low[i]:.3e}, below -1e-12",
+        np.linalg.LinAlgError,
+    )
+    roots = np.sort(np.sqrt(np.clip(ev, 0.0, None)), axis=-1)[..., ::-1]
+    c = np.maximum(0.0, roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3])
+    return float(c) if c.ndim == 0 else c
 
 
 @dataclass(frozen=True)
@@ -216,24 +221,3 @@ def sudden_death_time_bisection(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def random_xstate(rng: np.random.Generator) -> XState:
-    """Draw a physical X state.
-
-    Populations from a flat Dirichlet, each coherence modulus uniform
-    inside its positivity disk, phases uniform.
-    """
-    d = rng.dirichlet(np.ones(4))
-    m14 = rng.uniform(0.0, math.sqrt(d[0] * d[3]))
-    m23 = rng.uniform(0.0, math.sqrt(d[1] * d[2]))
-    ph14 = rng.uniform(0.0, 2.0 * math.pi)
-    ph23 = rng.uniform(0.0, 2.0 * math.pi)
-    return XState(
-        d1=float(d[0]),
-        d2=float(d[1]),
-        d3=float(d[2]),
-        d4=float(d[3]),
-        a14=m14 * cmath.exp(1j * ph14),
-        a23=m23 * cmath.exp(1j * ph23),
-    )

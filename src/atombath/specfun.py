@@ -37,6 +37,7 @@ __all__ = [
     "polylog",
     "bose_tail",
     "bose_window",
+    "bose_head_ratio",
     "bose_einstein_integral",
 ]
 
@@ -159,13 +160,25 @@ def bose_tail(x: float) -> float:
     return 2.0 * polylog(3, z) + 2.0 * x * polylog(2, z) + x * x * polylog(1, z)
 
 
-def _debye3_head(x: float) -> float:
-    # G(x) = int_0^x t^2/(e^t - 1) dt by its Bernoulli series, |x| < 2 pi
+def bose_head_ratio(x: float) -> float:
+    """``G(x)/x^2`` for ``0 <= x < 2``, ``G(x) = int_0^x t^2/(e^t - 1) dt``.
+
+    The Bernoulli series of :func:`bose_window` with ``x^2`` factored
+    out: it tends to 1/2 as ``x -> 0`` and stays a normal number where
+    ``G(x)`` itself falls into subnormals (``x`` below ~1e-154).
+    """
+    if not 0.0 <= x < _WINDOW_SPLIT:
+        raise ValueError(f"bose_head_ratio requires 0 <= x < 2, got {x!r}")
     y = x * x
     acc = 0.0
     for c in reversed(_DEBYE3_COEFFS):
         acc = acc * y + c
-    return y * (0.5 - x / 6.0 + y * acc)
+    return 0.5 - x / 6.0 + y * acc
+
+
+def _debye3_head(x: float) -> float:
+    # G(x) = int_0^x t^2/(e^t - 1) dt by its Bernoulli series, |x| < 2 pi
+    return x * x * bose_head_ratio(x)
 
 
 def _debye3_tail(x: float) -> float:

@@ -33,11 +33,12 @@ from atombath.entanglement import (
     concurrence,
     concurrence_closed_form,
     concurrence_xstate,
-    random_xstate,
     sudden_death_time,
     sudden_death_time_bisection,
 )
 from atombath.specfun import ZETA_2, ZETA_3, bose_einstein_integral, bose_tail, polylog
+
+from xstates import random_xstate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -347,3 +347,35 @@ def test_td_death_time_below_the_cube_underflow(capsys):
     assert len(lines) == 2
     death = float(lines[1].split(",")[-1])
     assert math.isfinite(death) and death > 0.0
+
+
+def test_death_time_at_rest_in_a_very_hot_bath(capsys):
+    # the v = 0 Taylor branch divided by 1 - e^-b, which is 0 here
+    rc = main(["death-time", "--beta-omega", "1e-17", "--velocity", "0"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    death = float(lines[1].split(",")[-1])
+    assert math.isfinite(death) and death > 0.0
+
+
+def _csv_rows(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out.splitlines()[1:]
+
+
+def test_oracle_slices_do_not_change_rows(capsys):
+    # one full slice plus one row, against the same grid run as two pieces;
+    # a step of 1/512 makes every piece's grid points the same doubles
+    n = cli._ORACLE_SLICE
+    base = ["concurrence", "--oracle", "--beta-omega", "3", "--velocity", "0.3,0.8"]
+    whole = _csv_rows(base + ["--tau", f"0:{n / 512}:{n + 1}"], capsys)
+    head = _csv_rows(base + ["--tau", f"0:{(n - 1) / 512}:{n}"], capsys)
+    tail = _csv_rows(base + ["--tau", f"{(n - 1) / 512}:{n / 512}:2"], capsys)
+    assert len(whole) == 2 * (n + 1)
+    for k in range(2):  # one block per velocity
+        block = whole[k * (n + 1) : (k + 1) * (n + 1)]
+        assert block[:n] == head[k * n : (k + 1) * n]
+        assert block[n] == tail[2 * k + 1]
+    # the Wootters column is live across the grid, not all zeros
+    assert float(whole[n].split(",")[-1]) > 0.0

@@ -306,3 +306,30 @@ def test_td_occupation_matches_quadrature_property(log_b, v):
     assert n_td(d, bath) == pytest.approx(n_td_quadrature(d, bath), rel=1e-10)
     red, blue = doppler_shifts(v)
     assert bose_window(b * red, b * blue) > 0.0
+
+
+@pytest.mark.parametrize("b", [1e-10, 1e-12, 1e-17])
+def test_taylor_branch_keeps_planck_in_hot_baths(b):
+    # 1 - e^-b cancels to nothing here; the branch must still give 1/(e^b - 1)
+    bath = BathParams(beta=b)
+    planck = planck_occupation(b)
+    assert n_udw(_detector(0.0), bath) == pytest.approx(planck, rel=1e-14)
+    assert n_td(_detector(0.0, Coupling.DERIVATIVE), bath) == pytest.approx(planck, rel=1e-14)
+
+
+@pytest.mark.parametrize("b, v", [(1e-160, 0.99), (1e-200, 0.5)])
+def test_td_occupation_where_the_window_is_subnormal(b, v):
+    # the window ~ b^2 itself falls into subnormals below b ~ 1e-154
+    leading = 3.0 * math.sqrt(1.0 - v * v) / (b * (3.0 + v * v))
+    assert n_td(_detector(v, Coupling.DERIVATIVE), BathParams(beta=b)) == pytest.approx(
+        leading, rel=1e-12
+    )
+
+
+def test_td_occupation_leading_form_down_to_1e_300():
+    for k in range(102, 301, 6):
+        b = 10.0 ** -k
+        for v in (0.5, 0.99):
+            leading = 3.0 * math.sqrt(1.0 - v * v) / (b * (3.0 + v * v))
+            n = n_td(_detector(v, Coupling.DERIVATIVE), BathParams(beta=b))
+            assert n == pytest.approx(leading, rel=1e-12), (b, v)

@@ -252,3 +252,46 @@ def test_delta_omega_moves_coherence_phase_only():
     np.testing.assert_allclose(np.diag(da), np.diag(db), atol=1e-15)
     assert abs(da[0, 3]) == pytest.approx(abs(db[0, 3]), rel=1e-13)
     assert np.angle(db[0, 3]) != pytest.approx(np.angle(da[0, 3]), abs=1e-3)
+
+
+# --- stacks of states -----------------------------------------------------------
+
+
+def test_shared_state_over_a_time_grid_stacks_the_single_states():
+    taus = np.linspace(0.0, 4.0, 7)
+    stack = shared_state(COEFFS, taus)
+    assert stack.shape == (7, 4, 4)
+    for tau, rho in zip(taus, stack):
+        assert np.array_equal(rho, shared_state(COEFFS, float(tau)))
+    assert shared_state(COEFFS, taus.reshape(7, 1)).shape == (7, 1, 4, 4)
+    with pytest.raises(ValueError, match=r"^state 2: tau must be non-negative, got -1\.0$"):
+        shared_state(COEFFS, [0.0, 1.0, -1.0, -2.0])
+    with pytest.raises(ValueError, match=r"^tau must be non-negative, got -1\.0$"):
+        shared_state(COEFFS, -1.0)
+
+
+def test_check_density_matrix_names_the_first_bad_state():
+    good = shared_state(COEFFS, np.linspace(0.0, 3.0, 5))
+    assert np.array_equal(check_density_matrix(good), good)
+    trace = good.copy()
+    trace[3] *= 1.01
+    herm = good.copy()
+    herm[1, 0, 1] += 1e-6
+    neg = good.copy()
+    neg[4] = np.diag([1.2, -0.2, 0.0, 0.0])
+    for bad, index, what in ((trace, 3, "trace"), (herm, 1, "Hermitian"), (neg, 4, "negative")):
+        with pytest.raises(ValueError, match=rf"^state {index}: .*{what}"):
+            check_density_matrix(bad)
+    # a stack of stacks names the full index
+    with pytest.raises(ValueError, match=r"^state 1, 4: .*negative"):
+        check_density_matrix(np.stack([good, neg]))
+    # a single state keeps the unprefixed message
+    with pytest.raises(ValueError, match=r"^trace must be 1"):
+        check_density_matrix(trace[3])
+
+
+def test_check_density_matrix_rejects_stacks_of_other_shapes():
+    with pytest.raises(ValueError, match="4x4"):
+        check_density_matrix(np.broadcast_to(np.eye(3) / 3.0, (5, 3, 3)))
+    with pytest.raises(ValueError, match="4x4"):
+        check_density_matrix(np.full(4, 0.25))

@@ -12,10 +12,11 @@ from atombath.entanglement import (
     concurrence,
     concurrence_closed_form,
     concurrence_xstate,
-    random_xstate,
     sudden_death_time,
     sudden_death_time_bisection,
 )
+
+from xstates import random_xstate
 
 COEFFS = LindbladCoefficients(gamma=1.0, n=0.5, omega_eff=1.3)
 
@@ -200,3 +201,26 @@ def test_death_time_decreases_with_occupation():
         for n in (0.05, 0.1, 0.3, 0.7, 1.5, 3.0)
     ]
     assert all(a > b for a, b in zip(times, times[1:]))
+
+
+# --- stacks of states ------------------------------------------------------------
+
+
+def test_stacked_concurrence_equals_the_single_state_results():
+    rng = np.random.default_rng(17)
+    xstates = [random_xstate(rng).to_matrix() for _ in range(40)]
+    evolved = shared_state(COEFFS, np.linspace(0.0, 3.0, 60))
+    stack = np.concatenate([np.array(xstates), evolved])
+    batched = concurrence(stack)
+    assert batched.shape == (100,)
+    assert batched.tolist() == [concurrence(rho) for rho in stack]
+    # any leading shape; a single state is a float
+    assert np.array_equal(concurrence(stack.reshape(4, 25, 4, 4)), batched.reshape(4, 25))
+    assert type(concurrence(stack[0])) is float
+
+
+def test_stacked_concurrence_rejects_a_bad_state_by_index():
+    stack = shared_state(COEFFS, np.linspace(0.0, 1.0, 4)).copy()
+    stack[2] *= 1.01
+    with pytest.raises(ValueError, match=r"^state 2: trace must be 1"):
+        concurrence(stack)

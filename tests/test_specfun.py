@@ -13,6 +13,7 @@ from atombath.specfun import (
     ZETA_2,
     ZETA_3,
     bose_einstein_integral,
+    bose_head_ratio,
     bose_tail,
     bose_window,
     polylog,
@@ -196,3 +197,14 @@ def test_bose_window_domain_errors():
     for lo, hi in [(-0.1, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.nan)]:
         with pytest.raises(ValueError):
             bose_window(lo, hi)
+
+
+def test_bose_head_ratio_is_the_window_over_its_square():
+    for x in (1e-3, 0.1, 1.0, 1.9):
+        assert bose_head_ratio(x) == pytest.approx(bose_window(0.0, x) / (x * x), rel=1e-14)
+    # G(x) ~ x^2/2 - x^3/6: the ratio stays normal where G(x) is subnormal
+    assert bose_head_ratio(0.0) == 0.5
+    assert bose_head_ratio(1e-200) == 0.5
+    for x in (-1e-3, 2.0, math.nan):
+        with pytest.raises(ValueError):
+            bose_head_ratio(x)
