@@ -157,18 +157,18 @@ def concurrence_closed_form(coeffs: LindbladCoefficients, tau: float) -> float:
     if tau < 0.0:
         raise ValueError(f"tau must be non-negative, got {tau!r}")
     a = coeffs.a
-    k = _coherence_threshold_rate(coeffs)
+    k = 2.0 * coeffs.gamma * _sqrt_n_n1(coeffs.n)
     return max(
         0.0,
         math.exp(-0.5 * a * tau) - (1.0 - math.exp(-a * tau)) * k / (2.0 * a),
     )
 
 
-def _coherence_threshold_rate(coeffs: LindbladCoefficients) -> float:
-    # sqrt(a^2 - b^2) evaluated as 2 gamma sqrt(n (n+1)): identical
-    # algebraically, but immune to the catastrophic cancellation of
-    # (2n+1)^2 - 1 when n drops below the precision of 1
-    return 2.0 * coeffs.gamma * math.sqrt(coeffs.n * (coeffs.n + 1.0))
+def _sqrt_n_n1(n: float) -> float:
+    # sqrt(n (n+1)) in sqrt(a^2 - b^2) = 2 gamma sqrt(n (n+1)): immune to the
+    # cancellation of (2n+1)^2 - 1 for n below the precision of 1, and taken
+    # factor by factor so that n (n+1) cannot overflow for n above ~1e154
+    return math.sqrt(n) * math.sqrt(n + 1.0)
 
 
 def sudden_death_time(coeffs: LindbladCoefficients) -> float:
@@ -182,42 +182,42 @@ def sudden_death_time(coeffs: LindbladCoefficients) -> float:
 
     The root is evaluated in the rationalized form
 
-        2 sqrt(n (n+1)) / (sqrt(8 n (n+1) + 1) + 2 n + 1),
+        2 s / (sqrt(8 s^2 + 1) + 2 n + 1),    s = sqrt(n (n+1)),
 
-    which survives occupations far below the precision of 1.  At
-    ``n = 0`` the curve stays positive forever and the death time is
-    ``math.inf``.
+    which survives occupations far below the precision of 1 and, with
+    ``sqrt(8 s^2 + 1)`` taken as ``hypot(sqrt(8) s, 1)``, far above it;
+    as ``n -> inf`` the root tends to ``sqrt(2) - 1``.  At ``n = 0`` the
+    curve stays positive forever and the death time is ``math.inf``.
     """
     if coeffs.n == 0.0:
         return math.inf
     n = coeffs.n
-    nn = n * (n + 1.0)
-    root = 2.0 * math.sqrt(nn) / (math.sqrt(8.0 * nn + 1.0) + 2.0 * n + 1.0)
+    s = _sqrt_n_n1(n)
+    root = 2.0 * s / (math.hypot(math.sqrt(8.0) * s, 1.0) + 2.0 * n + 1.0)
     return -2.0 * math.log(root) / coeffs.a
 
 
-def sudden_death_time_bisection(
-    coeffs: LindbladCoefficients, tol: float = 1e-12
-) -> float:
+def sudden_death_time_bisection(coeffs: LindbladCoefficients) -> float:
     """Bracketing cross-check of :func:`sudden_death_time`.
 
-    Bisects on the sign of :func:`concurrence_closed_form` over
-    ``[0, 100/a]``; if the curve is still positive at the right end the
-    death time is reported as ``math.inf`` (the window covers any ``n``
-    that is not absurdly small, since ``tau* ~ -log(n)/a`` as
-    ``n -> 0``).
+    Bisects on the sign of :func:`concurrence_closed_form`.  The bracket
+    starts at ``[0, 1/a]`` and doubles its right end until the curve is
+    zero there, which for any ``n > 0`` happens by ``1024/a`` (the root
+    lies below ``~745/a`` even at the smallest positive ``n``).  It then
+    halves until the midpoint equals an end, so the result is resolved to
+    the float spacing at any scale of ``a``.  Only ``n = 0``, where the
+    curve never reaches zero, gives ``math.inf``.
     """
     if coeffs.n == 0.0:
         return math.inf
-    lo, hi = 0.0, 100.0 / coeffs.a
-    if concurrence_closed_form(coeffs, hi) > 0.0:
-        return math.inf
-    while hi - lo > tol:
+    lo, hi = 0.0, 1.0 / coeffs.a
+    while concurrence_closed_form(coeffs, hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: tol is below their spacing
-            break
+        if not lo < mid < hi:
+            return mid
         if concurrence_closed_form(coeffs, mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)

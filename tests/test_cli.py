@@ -359,6 +359,19 @@ def test_death_time_at_rest_in_a_very_hot_bath(capsys):
     assert math.isfinite(death) and death > 0.0
 
 
+def test_death_time_where_n_squared_overflows(capsys):
+    rc = main(["death-time", "--coupling", "td", "--beta-omega", "1e-200", "--velocity", "0.5"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    death = float(lines[1].split(",")[-1])
+    assert math.isfinite(death) and death > 0.0
+    argv = ["concurrence", "--beta-omega", "1e-160", "--velocity", "0.5", "--tau", "0:1:2"]
+    start = _csv_rows(argv + ["--oracle"], capsys)[0].split(",")
+    # closed form and Wootters agree on the Bell state at tau = 0
+    assert float(start[3]) == pytest.approx(1.0) and float(start[4]) == pytest.approx(1.0)
+
+
 def _csv_rows(argv, capsys):
     assert main(argv) == 0
     return capsys.readouterr().out.splitlines()[1:]

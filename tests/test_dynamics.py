@@ -54,14 +54,11 @@ def test_pauli_pair_table():
 def test_bell_state_tensor():
     rho = bell_state()
     check_density_matrix(rho)
+    assert np.trace(rho) == 1.0
     u = bloch_from_density(rho)
-    # normalized so every component lives in [-1/4, 1/4]
-    expect = np.zeros((4, 4))
-    expect[0, 0] = 0.25
-    expect[1, 1] = 0.25
-    expect[2, 2] = -0.25
-    expect[3, 3] = 0.25
-    np.testing.assert_allclose(u, expect, atol=1e-15)
+    # normalized so every component lives in [-1/4, 1/4]; exact, since
+    # every evolved pair starts from this tensor
+    assert np.array_equal(u, np.diag([0.25, 0.25, -0.25, 0.25]))
     # rank one and pure
     np.testing.assert_allclose(rho @ rho, rho, atol=1e-15)
 
@@ -295,3 +292,46 @@ def test_check_density_matrix_rejects_stacks_of_other_shapes():
         check_density_matrix(np.broadcast_to(np.eye(3) / 3.0, (5, 3, 3)))
     with pytest.raises(ValueError, match="4x4"):
         check_density_matrix(np.full(4, 0.25))
+
+
+def test_evolve_closed_form_over_a_time_grid_stacks_the_single_tensors():
+    u0 = bloch_from_density(_random_density(np.random.default_rng(29)))
+    taus = np.linspace(0.0, 4.0, 6)
+    stack = evolve_closed_form(u0, COEFFS, taus)
+    assert stack.shape == (6, 4, 4)
+    for tau, u in zip(taus, stack):
+        assert np.array_equal(u, evolve_closed_form(u0, COEFFS, float(tau)))
+    grid = evolve_closed_form(u0, COEFFS, taus.reshape(2, 3))
+    assert np.array_equal(grid, stack.reshape(2, 3, 4, 4))
+    with pytest.raises(ValueError, match=r"^state 1: tau must be non-negative, got -0\.5$"):
+        evolve_closed_form(u0, COEFFS, [0.0, -0.5, -1.0])
+    with pytest.raises(ValueError, match=r"^tau must be non-negative, got -0\.1$"):
+        evolve_closed_form(u0, COEFFS, -0.1)
+
+
+def test_check_bloch_tensor_names_the_first_bad_tensor():
+    u0 = bloch_from_density(bell_state())
+    good = evolve_closed_form(u0, COEFFS, np.linspace(0.0, 2.0, 4))
+    assert np.array_equal(check_bloch_tensor(good), good)
+    norm = good.copy()
+    norm[2, 0, 0] = 0.25 + 1e-6
+    over = good.copy()
+    over[1, 1, 3] = 0.3
+    for bad, index, what in ((norm, 2, "normalization"), (over, 1, "components cannot exceed")):
+        with pytest.raises(ValueError, match=rf"^state {index}: {what}"):
+            check_bloch_tensor(bad)
+        with pytest.raises(ValueError, match=rf"^{what}"):
+            check_bloch_tensor(bad[index])
+    with pytest.raises(ValueError, match="4x4"):
+        check_bloch_tensor(np.zeros((5, 3, 4)))
+
+
+def test_bloch_density_conversions_over_a_stack_equal_the_single_results():
+    rng = np.random.default_rng(31)
+    rhos = np.array([_random_density(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+    us = bloch_from_density(rhos)
+    assert us.shape == (2, 3, 4, 4)
+    back = density_from_bloch(us)
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(us[index], bloch_from_density(rhos[index]))
+        assert np.array_equal(back[index], density_from_bloch(us[index]))

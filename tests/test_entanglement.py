@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from atombath.coefficients import LindbladCoefficients
+from atombath.coefficients import (
+    BathParams,
+    Coupling,
+    DetectorParams,
+    LindbladCoefficients,
+    lindblad_coefficients,
+)
 from atombath.dynamics import bell_state, shared_state
 from atombath.entanglement import (
     XState,
@@ -193,6 +199,26 @@ def test_tiny_occupation_stays_stable():
     assert math.isfinite(t2)
     # -2 ln(sqrt(n))/a at leading order
     assert t2 == pytest.approx(-math.log(1e-300) / 0.5, rel=1e-10)
+
+
+def test_huge_occupation_keeps_the_death_time_finite():
+    # n (n+1) overflows here; the death time tends to -2 ln(sqrt(2) - 1)/a
+    hot = LindbladCoefficients(gamma=1.0, n=1e200, omega_eff=0.0)
+    assert sudden_death_time(hot) * hot.a == pytest.approx(
+        -2.0 * math.log(math.sqrt(2.0) - 1.0), rel=1e-15
+    )
+    assert concurrence_closed_form(hot, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("coupling", list(Coupling))
+@pytest.mark.parametrize("velocity", [0.0, 0.5])
+@pytest.mark.parametrize("beta_omega", [1e-110, 1e-14, 1e-9, 1e-6, 0.5, 120.0, 300.0, 700.0])
+def test_bisection_agrees_from_very_hot_to_very_cold_baths(beta_omega, velocity, coupling):
+    det = DetectorParams(omega=1.0, lam=1.0, velocity=velocity, coupling=coupling)
+    coeffs = lindblad_coefficients(det, BathParams(beta=beta_omega))
+    t = sudden_death_time(coeffs)
+    assert math.isfinite(t)
+    assert sudden_death_time_bisection(coeffs) == pytest.approx(t, rel=1e-12, abs=0.0)
 
 
 def test_death_time_decreases_with_occupation():
