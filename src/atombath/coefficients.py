@@ -149,6 +149,11 @@ class LindbladCoefficients:
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
         if self.n < 0.0:
             raise ValueError(f"n must be non-negative, got {self.n!r}")
+        if not math.isfinite(self.a):
+            raise ValueError(
+                f"damping rate a = gamma*(2n+1) must be finite, got {self.a!r} "
+                f"for gamma={self.gamma!r}, n={self.n!r}"
+            )
 
     @property
     def a(self) -> float:
@@ -383,8 +388,12 @@ def _window_quadrature(b: float, v: float, weight_power: int) -> float:
     red, blue = doppler_shifts(v)
 
     def integrand(x: float) -> float:
-        # 1/(e^x - 1) written with e^-x, which cannot overflow past x = 709
-        return x ** weight_power * math.exp(-x) / -math.expm1(-x)
+        # 1/(e^x - 1) written with e^-x, which cannot overflow past x = 709;
+        # where e^-x underflows the integrand is 0 before x**p can overflow
+        e = math.exp(-x)
+        if e == 0.0:
+            return 0.0
+        return x ** weight_power * e / -math.expm1(-x)
 
     # epsabs=0 keeps the stopping target relative, as the check below is;
     # cold windows have values far below any fixed absolute target

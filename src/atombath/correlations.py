@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from scipy import integrate
 
@@ -119,71 +121,78 @@ def _resolve_epsilon(beta: float, epsilon: float | None) -> float:
     return eps
 
 
-def _coth_real(y: float) -> float:
-    ay = abs(y)
-    if ay > 20.0:
-        e = math.exp(-2.0 * ay) if ay < 350.0 else 0.0
-        return math.copysign(1.0 + 2.0 * e / (1.0 - e), y)
-    return 1.0 / math.tanh(y)
+def _coth(y):
+    # float or complex; math.tanh saturates to +-1 (no overflow) far out
+    return 1.0 / (cmath.tanh(y) if isinstance(y, complex) else math.tanh(y))
 
 
-def _csch2_real(y: float) -> float:
-    ay = abs(y)
-    if ay > 350.0:
-        return 0.0
-    if ay > 20.0:
-        e = math.exp(-2.0 * ay)
-        return 4.0 * e / (1.0 - e) ** 2
-    sh = math.sinh(y)
+def _csch2(y):
+    # float or complex.  Past real |y| = 20, 4 e^(-2|y|) is csch^2 to
+    # double precision and keeps math.sinh from overflowing past ~710
+    if isinstance(y, complex):
+        sh = cmath.sinh(y)
+    elif abs(y) > 20.0:
+        return 4.0 * math.exp(-2.0 * abs(y)) if abs(y) <= 350.0 else 0.0
+    else:
+        sh = math.sinh(y)
     return 1.0 / (sh * sh)
 
 
-def _coth_any(t):
-    if isinstance(t, complex):
-        return 1.0 / cmath.tanh(t)
-    return _coth_real(t)
+# coth(y) - 1/y = sum_j _COTH[j] y^(2j+1), cut after y^7 (the next term
+# is below 1e-12 relative inside _SERIES_RADIUS).  Every series at a
+# removable singularity below is a derivative of it, cut at the same order.
+_COTH = (Fraction(1, 3), Fraction(-1, 45), Fraction(2, 945), Fraction(-1, 4725))
 
 
-def _csch2_any(t):
-    if isinstance(t, complex):
-        sh = cmath.sinh(t)
-        return 1.0 / (sh * sh)
-    return _csch2_real(t)
+def _derived(k: int, power: int, sign: int = 1) -> tuple[float, ...]:
+    # coefficients, in powers of t^2, of sign * the k-th t-derivative of
+    # sum_j _COTH[j] t^(2j + power) once its lowest power of t is divided
+    # out; zero padded so that every table runs through one 4-term Horner
+    b = [sign * c * math.perm(2 * j + power, k) for j, c in enumerate(_COTH)]
+    b = [float(c) for c in b if c]
+    return tuple(b) + (0.0,) * (len(_COTH) - len(b))
 
 
-def thermal_sin_transform(p: float, beta: float) -> float:
+_T_SERIES = _derived(0, 1)  # (coth y - 1/y)/y
+_COINCIDENCE_SERIES = _derived(1, 1)  # d/dy (coth y - 1/y)
+_STATIC_TD_SERIES = _derived(3, 1, -1)  # -d^3/dy^3 (coth y - 1/y)
+# sum_j _COTH[j] Y_j s^(2j) with Y_j = yb^(2j+1) - yr^(2j+1), and minus
+# its second s-derivative, which starts at Y_1
+_WINDOW_SERIES = _derived(0, 0)
+_WINDOW_TD_SERIES = _derived(2, 0, -1)
+
+
+def _series(b, t2):
+    return b[0] + t2 * (b[1] + t2 * (b[2] + t2 * b[3]))
+
+
+def _window_series(b, p: int, s, window, beta: float):
+    # c pi/(2 beta) sum_i b_i (yb^(p+2i) - yr^(p+2i)) s^(2i), y = pi*shift/beta
+    red, blue, c = window
+    yb, yr = math.pi * blue / beta, math.pi * red / beta
+    t0 = b[0] * (yb ** p - yr ** p)
+    t1 = b[1] * (yb ** (p + 2) - yr ** (p + 2))
+    t2 = b[2] * (yb ** (p + 4) - yr ** (p + 4))
+    t3 = b[3] * (yb ** (p + 6) - yr ** (p + 6))
+    s2 = s * s
+    return c * math.pi / (2.0 * beta) * (t0 + s2 * (t1 + s2 * (t2 + s2 * t3)))
+
+
+def thermal_sin_transform(p: float | complex, beta: float) -> float | complex:
     """Bose-weighted sine transform ``int_0^inf sin(p k)/(e^(beta k) - 1) dk``.
 
-    Closed form ``pi/(2 beta) coth(pi p / beta) - 1/(2 p)``.  Odd in
-    ``p``; the ``p = 0`` singularity is removable (the coth pole cancels
-    the subtraction exactly) and is evaluated through a short series,
-    which takes over below ``|pi p / beta| = 0.1``.
+    Closed form ``pi/(2 beta) coth(pi p / beta) - 1/(2 p)``, for a float
+    or a complex ``p`` (the latter off the real axis by a regulator).  Odd
+    in ``p``; the ``p = 0`` singularity is removable (the coth pole
+    cancels the subtraction exactly) and is evaluated through a short
+    series, which takes over below ``|pi p / beta| = 0.1``.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
     y = math.pi * p / beta
     if abs(y) < _SERIES_RADIUS:
-        return math.pi / (2.0 * beta) * _coth_pole_cancelled(y)
-    return math.pi / (2.0 * beta) * _coth_real(y) - 1.0 / (2.0 * p)
-
-
-def _coth_pole_cancelled(y):
-    # series of coth(y) - 1/y; float or complex
-    y2 = y * y
-    return y * (1.0 / 3.0 + y2 * (-1.0 / 45.0 + y2 * (2.0 / 945.0 - y2 / 4725.0)))
-
-
-def _thermal_sin_transform_c(p: complex, beta: float) -> complex:
-    y = math.pi * p / beta
-    if abs(y) < _SERIES_RADIUS:
-        return math.pi / (2.0 * beta) * _coth_pole_cancelled(y)
-    return math.pi / (2.0 * beta) / cmath.tanh(y) - 1.0 / (2.0 * p)
-
-
-def _tst_any(p, beta):
-    if isinstance(p, complex):
-        return _thermal_sin_transform_c(p, beta)
-    return thermal_sin_transform(p, beta)
+        return math.pi / (2.0 * beta) * (y * _series(_T_SERIES, y * y))
+    return math.pi / (2.0 * beta) * _coth(y) - 1.0 / (2.0 * p)
 
 
 def vacuum_wightman(s: float, epsilon: float, r: float = 0.0) -> complex:
@@ -206,7 +215,25 @@ def wightman_coincidence(s: float, beta: float) -> float:
     if s == 0.0:
         raise ValueError("coincidence term diverges at s = 0")
     x = math.pi * s / beta
-    return -_csch2_real(x) / (4.0 * beta * beta)
+    return -_csch2(x) / (4.0 * beta * beta)
+
+
+def _pole_shift(s: float, eps: float, r: float = 0.0):
+    # s, or s - i eps with a warning when s lies within eps/10 of a
+    # light-cone pole s = +-r (r >= 0); the warning names the first
+    # caller outside this module
+    if abs(abs(s) - r) >= eps / 10.0:
+        return s
+    depth = 1
+    while sys._getframe(depth).f_globals is globals():
+        depth += 1
+    warnings.warn(
+        f"separation s={s!r} at r={r!r} lies within epsilon/10 of a "
+        "light-cone pole; value is regulator dominated",
+        PoleProximityWarning,
+        stacklevel=depth + 1,
+    )
+    return complex(s, -eps)
 
 
 def _coincidence_correction(s, beta: float):
@@ -215,13 +242,8 @@ def _coincidence_correction(s, beta: float):
     # s = 0.  Accepts real or complex s.
     x = math.pi * s / beta
     if abs(x) < _SERIES_RADIUS:
-        x2 = x * x
-        poly = (
-            1.0 / 3.0
-            + x2 * (-1.0 / 15.0 + x2 * (2.0 / 189.0 - x2 * (7.0 / 4725.0)))
-        )
-        return poly / (4.0 * beta * beta)
-    return 1.0 / (FOUR_PI2 * s * s) - _csch2_any(x) / (4.0 * beta * beta)
+        return _series(_COINCIDENCE_SERIES, x * x) / (4.0 * beta * beta)
+    return 1.0 / (FOUR_PI2 * s * s) - _csch2(x) / (4.0 * beta * beta)
 
 
 def wightman_static(query: CorrelationQuery) -> complex:
@@ -238,60 +260,28 @@ def wightman_static(query: CorrelationQuery) -> complex:
     """
     s, r, beta, eps = query.s, query.r, query.beta, query.epsilon
     vac = vacuum_wightman(s, eps, r)
+    s_eval = _pole_shift(s, eps, r)
     if r == 0.0:
-        if abs(s) < eps / 10.0:
-            warnings.warn(
-                f"time separation s={s!r} lies within epsilon/10 of the "
-                "coincidence pole; value is regulator dominated",
-                PoleProximityWarning,
-                stacklevel=2,
-            )
-            return vac + complex(_coincidence_correction(complex(s, -eps), beta))
-        return vac + complex(_coincidence_correction(s, beta))
-    if min(abs(s - r), abs(s + r)) < eps / 10.0:
-        warnings.warn(
-            f"query (s={s!r}, r={r!r}) lies within epsilon/10 of a "
-            "light-cone pole; value is regulator dominated",
-            PoleProximityWarning,
-            stacklevel=2,
-        )
-        sc = complex(s, -eps)
-        th = (
-            _thermal_sin_transform_c(sc + r, beta)
-            - _thermal_sin_transform_c(sc - r, beta)
-        ) / (FOUR_PI2 * r)
-        return vac + th
-    th = (
-        thermal_sin_transform(s + r, beta) - thermal_sin_transform(s - r, beta)
-    ) / (FOUR_PI2 * r)
-    return vac + th
+        return vac + complex(_coincidence_correction(s_eval, beta))
+    tst = thermal_sin_transform
+    return vac + (tst(s_eval + r, beta) - tst(s_eval - r, beta)) / (FOUR_PI2 * r)
 
 
-def _moving_thermal(s_eval, red: float, blue: float, beta: float, v: float):
-    # thermal part seen by the moving detector; s_eval real or complex
+def _worldline(s: float, detector: DetectorParams, bath: BathParams, epsilon):
+    # shared by wightman_moving and wightman_derivative: the regulator,
+    # the separation (shifted near the pole), the Doppler window
+    # (red, blue, prefactor), None below _V_STATIC, and whether the
+    # blue-shifted argument lies inside the series radius
+    beta = bath.beta
+    eps = _resolve_epsilon(beta, epsilon)
+    s_eval = _pole_shift(s, eps)
+    v = detector.velocity
+    if v < _V_STATIC:
+        return eps, s_eval, None, False
+    red, blue = doppler_shifts(v)
     c = math.sqrt(1.0 - v * v) / (FOUR_PI2 * v)
-    if abs(math.pi * blue * s_eval / beta) < _SERIES_RADIUS:
-        yb = math.pi * blue / beta
-        yr = math.pi * red / beta
-        s2 = s_eval * s_eval
-        poly = (
-            (yb - yr) / 3.0
-            + s2
-            * (
-                -(yb ** 3 - yr ** 3) / 45.0
-                + s2
-                * (
-                    2.0 * (yb ** 5 - yr ** 5) / 945.0
-                    - s2 * (yb ** 7 - yr ** 7) / 4725.0
-                )
-            )
-        )
-        return c * math.pi / (2.0 * beta) * poly
-    return (
-        c
-        * (_tst_any(blue * s_eval, beta) - _tst_any(red * s_eval, beta))
-        / s_eval
-    )
+    series = abs(math.pi * blue * s_eval / beta) < _SERIES_RADIUS
+    return eps, s_eval, (red, blue, c), series
 
 
 def wightman_moving(
@@ -312,23 +302,16 @@ def wightman_moving(
     coincidence pole.
     """
     beta = bath.beta
-    eps = _resolve_epsilon(beta, epsilon)
-    v = detector.velocity
-    vac = vacuum_wightman(s, eps)
-    if abs(s) < eps / 10.0:
-        warnings.warn(
-            f"proper-time separation s={s!r} lies within epsilon/10 of the "
-            "coincidence pole; value is regulator dominated",
-            PoleProximityWarning,
-            stacklevel=2,
-        )
-        s_eval: complex | float = complex(s, -eps)
+    eps, s_eval, window, series = _worldline(s, detector, bath, epsilon)
+    if window is None:
+        th = _coincidence_correction(s_eval, beta)
+    elif series:
+        th = _window_series(_WINDOW_SERIES, 1, s_eval, window, beta)
     else:
-        s_eval = s
-    if v < _V_STATIC:
-        return vac + complex(_coincidence_correction(s_eval, beta))
-    red, blue = doppler_shifts(v)
-    return vac + complex(_moving_thermal(s_eval, red, blue, beta, v))
+        red, blue, c = window
+        tst = thermal_sin_transform
+        th = c * (tst(blue * s_eval, beta) - tst(red * s_eval, beta)) / s_eval
+    return vacuum_wightman(s, eps) + complex(th)
 
 
 def _wtd_thermal_static(s_eval, beta: float):
@@ -336,10 +319,9 @@ def _wtd_thermal_static(s_eval, beta: float):
     x = math.pi * s_eval / beta
     pref = math.pi ** 2 / (4.0 * beta ** 4)
     if abs(x) < _SERIES_RADIUS:
-        x2 = x * x
-        return pref * (2.0 / 15.0 + x2 * (-8.0 / 63.0 + x2 * (2.0 / 45.0)))
-    c2 = _csch2_any(x)
-    ct = _coth_any(x)
+        return pref * _series(_STATIC_TD_SERIES, x * x)
+    c2 = _csch2(x)
+    ct = _coth(x)
     return (
         -3.0 / (2.0 * math.pi ** 2 * s_eval ** 4)
         + pref * (4.0 * c2 * ct * ct + 2.0 * c2 * c2)
@@ -349,38 +331,9 @@ def _wtd_thermal_static(s_eval, beta: float):
 def _g2(s_eval, d: float, beta: float):
     # second s-derivative of T(d*s)/s for the closed hyperbolic T
     y = math.pi * d / beta
-    t = y * s_eval
-    c2 = _csch2_any(t)
-    ct = _coth_any(t)
-    s2 = s_eval * s_eval
-    return (
-        math.pi
-        / (2.0 * beta)
-        * (
-            2.0 * y * y * c2 * ct / s_eval
-            + 2.0 * y * c2 / s2
-            + 2.0 * ct / (s2 * s_eval)
-        )
-        - 3.0 / (d * s2 * s2)
-    )
-
-
-def _wtd_thermal_moving(s_eval, red: float, blue: float, beta: float, v: float):
-    c = math.sqrt(1.0 - v * v) / (FOUR_PI2 * v)
-    if abs(math.pi * blue * s_eval / beta) < _SERIES_RADIUS:
-        yb = math.pi * blue / beta
-        yr = math.pi * red / beta
-        s2 = s_eval * s_eval
-        poly = (
-            2.0 * (yb ** 3 - yr ** 3) / 45.0
-            + s2
-            * (
-                -8.0 * (yb ** 5 - yr ** 5) / 315.0
-                + s2 * (2.0 * (yb ** 7 - yr ** 7) / 315.0)
-            )
-        )
-        return c * math.pi / (2.0 * beta) * poly
-    return -c * (_g2(s_eval, blue, beta) - _g2(s_eval, red, beta))
+    c2, ct, s2 = _csch2(y * s_eval), _coth(y * s_eval), s_eval * s_eval
+    inner = 2.0 * y * y * c2 * ct / s_eval + 2.0 * y * c2 / s2 + 2.0 * ct / (s2 * s_eval)
+    return math.pi / (2.0 * beta) * inner - 3.0 / (d * s2 * s2)
 
 
 def wightman_derivative(
@@ -398,24 +351,15 @@ def wightman_derivative(
     the two parts cancel, leaving the expected exponential decay.
     """
     beta = bath.beta
-    eps = _resolve_epsilon(beta, epsilon)
-    v = detector.velocity
-    sc = complex(s, -eps)
-    vac = 3.0 / (2.0 * math.pi ** 2 * sc ** 4)
-    if abs(s) < eps / 10.0:
-        warnings.warn(
-            f"proper-time separation s={s!r} lies within epsilon/10 of the "
-            "coincidence pole; value is regulator dominated",
-            PoleProximityWarning,
-            stacklevel=2,
-        )
-        s_eval: complex | float = sc
+    eps, s_eval, window, series = _worldline(s, detector, bath, epsilon)
+    if window is None:
+        th = _wtd_thermal_static(s_eval, beta)
+    elif series:
+        th = _window_series(_WINDOW_TD_SERIES, 3, s_eval, window, beta)
     else:
-        s_eval = s
-    if v < _V_STATIC:
-        return vac + complex(_wtd_thermal_static(s_eval, beta))
-    red, blue = doppler_shifts(v)
-    return vac + complex(_wtd_thermal_moving(s_eval, red, blue, beta, v))
+        red, blue, c = window
+        th = -c * (_g2(s_eval, blue, beta) - _g2(s_eval, red, beta))
+    return 3.0 / (2.0 * math.pi ** 2 * complex(s, -eps) ** 4) + complex(th)
 
 
 # --- brute-force cross-checks ------------------------------------------------
@@ -501,17 +445,14 @@ def wightman_derivative_fd(
     detector: DetectorParams,
     bath: BathParams,
     epsilon: float | None = None,
-    step: float | None = None,
 ) -> complex:
     """Five-point finite-difference cross-check of :func:`wightman_derivative`.
 
     Applies minus the central second-difference stencil to
-    :func:`wightman_moving`; the default step ``1e-4 * beta`` balances
-    truncation against cancellation for separations of order ``beta``.
+    :func:`wightman_moving`; the step ``1e-4 * beta`` balances truncation
+    against cancellation for separations of order ``beta``.
     """
-    h = 1e-4 * bath.beta if step is None else step
-    if not h > 0.0:
-        raise ValueError(f"step must be positive, got {step!r}")
+    h = 1e-4 * bath.beta
 
     def f(x: float) -> complex:
         return wightman_moving(x, detector, bath, epsilon)

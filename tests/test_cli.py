@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from atombath import cli
 from atombath.cli import ConfigError, ScanConfig, emit_config, main, parse_config
 from atombath.coefficients import Coupling
+from atombath.correlations import PoleProximityWarning
 from atombath.specfun import QuadratureError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -115,6 +116,19 @@ def test_golden_fixture_reproduces(tmp_path):
     )
     assert rc == 0
     assert out.read_bytes() == (FIXTURES / "fig1c_golden.csv").read_bytes()
+
+
+@pytest.mark.parametrize("coupling", ["udw", "td"])
+def test_wightman_golden_reproduces(coupling, tmp_path):
+    # the grid reaches the pole at s = 0, the small-s series, |y| > 20
+    # (csch^2 and coth at their asymptotes) and the v < 1e-6 static branch
+    out = tmp_path / "regen.csv"
+    argv = ["wightman", "--coupling", coupling, "--beta-omega", "0.01,1,100"]
+    argv += ["--velocity", "0,1e-7,0.5,0.99", "--tau", "0:3:25", "--output", str(out)]
+    with pytest.warns(PoleProximityWarning):
+        assert main(argv) == 0
+    golden = FIXTURES / f"wightman_{coupling}_golden.csv"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_json_matches_csv_values(capsys):
@@ -392,3 +406,28 @@ def test_oracle_slices_do_not_change_rows(capsys):
         assert block[n] == tail[2 * k + 1]
     # the Wootters column is live across the grid, not all zeros
     assert float(whole[n].split(",")[-1]) > 0.0
+
+
+def test_coeffs_oracle_in_a_frozen_bath(capsys):
+    # the window quadrature formed x**2 past the overflow of a float
+    argv = ["coeffs", "--beta-omega", "1e300", "--velocity", "0,0.5,0.9", "--oracle"]
+    for row in _csv_rows(argv, capsys):
+        n_udw, n_td, _, _, n_udw_q, n_td_q = map(float, row.split(",")[2:])
+        assert n_udw == n_udw_q == 0.0 and n_td == n_td_q == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["death-time", "--velocity", "0,0.5", "--oracle"],
+        ["concurrence", "--velocity", "0.5", "--tau", "0:1:2", "--oracle"],
+    ],
+)
+def test_exit_two_where_the_damping_rate_overflows(argv, capsys):
+    # a = gamma (2n + 1) is inf once n passes ~9e307
+    assert main(argv + ["--beta-omega", "1e-308"]) == 2
+    captured = capsys.readouterr()
+    assert "damping rate" in captured.err and captured.out == ""
+    assert main(argv + ["--beta-omega", "1e-306"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows and all(math.isfinite(float(x)) for r in rows for x in r.split(","))

@@ -80,6 +80,8 @@ def test_lindblad_coefficients_derived_rates():
         LindbladCoefficients(gamma=0.0, n=1.0, omega_eff=1.0)
     with pytest.raises(ValueError):
         LindbladCoefficients(gamma=1.0, n=-0.1, omega_eff=1.0)
+    with pytest.raises(ValueError, match="damping rate"):
+        LindbladCoefficients(gamma=1.0, n=1e308, omega_eff=1.0)
 
 
 def test_doppler_shifts_reciprocal():

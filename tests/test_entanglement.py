@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from atombath.coefficients import (
     BathParams,
@@ -250,3 +252,33 @@ def test_stacked_concurrence_rejects_a_bad_state_by_index():
     stack[2] *= 1.01
     with pytest.raises(ValueError, match=r"^state 2: trace must be 1"):
         concurrence(stack)
+
+
+def _death_time(coupling, beta_omega, v):
+    det = DetectorParams(omega=1.0, lam=1.0, velocity=v, coupling=coupling)
+    return sudden_death_time(lindblad_coefficients(det, BathParams(beta=beta_omega)))
+
+
+_SPEED = st.floats(min_value=0.0, max_value=0.99)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(log_b=st.floats(min_value=-8.0, max_value=2.0), v1=_SPEED, v2=_SPEED)
+def test_derivative_coupling_death_comes_sooner_at_higher_speed(log_b, v1, v2):
+    assume(abs(v2 - v1) >= 0.01)
+    slow, fast = sorted((v1, v2))
+    td = Coupling.DERIVATIVE
+    assert _death_time(td, 10.0 ** log_b, fast) < _death_time(td, 10.0 ** log_b, slow)
+
+
+# Monopole death is delayed by speed only in hot baths: on a 0.01 speed
+# grid tau* rises strictly up to beta*omega = 2.5 but not from 2.6 on
+# (at 3 it reads 2.880, 2.839, 3.169 at v = 0, 0.5, 0.99), so the
+# property stops at 2.
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(log_b=st.floats(min_value=-8.0, max_value=math.log10(2.0)), v1=_SPEED, v2=_SPEED)
+def test_monopole_death_comes_later_at_higher_speed_in_hot_baths(log_b, v1, v2):
+    assume(abs(v2 - v1) >= 0.01)
+    slow, fast = sorted((v1, v2))
+    udw = Coupling.UDW
+    assert _death_time(udw, 10.0 ** log_b, fast) > _death_time(udw, 10.0 ** log_b, slow)
