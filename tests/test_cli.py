@@ -131,6 +131,28 @@ def test_wightman_golden_reproduces(coupling, tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (
+            ["coeffs", "--beta-omega", "0.01,0.5,5,50", "--velocity", "0,1e-5,0.5,0.99"],
+            "coeffs_oracle_golden.csv",
+        ),
+        (
+            ["death-time", "--coupling", "td", "--beta-omega", "0.01,0.5,5,50,800"]
+            + ["--velocity", "0,1e-5,0.5,0.99", "--format", "json"],
+            "death_time_td_golden.json",
+        ),
+    ],
+)
+def test_oracle_golden_reproduces(argv, golden, tmp_path):
+    # the v = 1e-5 Taylor branch, a frozen bath (four inf death times) and
+    # both oracles, across the CSV and JSON renderers
+    out = tmp_path / "regen"
+    assert main(argv + ["--oracle", "--output", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / golden).read_bytes()
+
+
 def test_json_matches_csv_values(capsys):
     args = [
         "coeffs",
