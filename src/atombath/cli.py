@@ -18,8 +18,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -67,6 +68,21 @@ _MAX_STEPS = 10**6
 _ORACLE_SLICE = 1024
 
 
+def _check_rates(omega: float, lam: float, v_max: float) -> None:
+    # a scan divides by rate_unit and multiplies by the rates: each must be a
+    # normal positive float (t/rate_unit overflows on a subnormal one) at both
+    # ends of the speed range; the monopole rate_unit is gamma_udw
+    for v in (0.0, v_max):
+        det = DetectorParams(omega, lam, v, Coupling.DERIVATIVE, v_max)
+        for rate in (rate_unit, gamma_udw, gamma_td):
+            try:
+                r = rate(det)
+            except OverflowError:  # float ** raises where float * gives inf
+                r = math.inf
+            if not sys.float_info.min <= r < math.inf:
+                raise ValueError(f"{rate.__name__} at v = {v} is {r!r}, outside the normal floats")
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Fully resolved scan parameters shared by all subcommands.
@@ -82,7 +98,6 @@ class ScanConfig:
     beta_omega: tuple[float, ...] = (0.5, 1.0, 5.0)
     velocity: tuple[float, ...] = (0.0, 0.5, 0.9)
     tau: tuple[float, float, int] = (0.0, 5.0, 51)
-    delta_omega: float = 0.0
     omega: float = 1.0
     coupling_strength: float = 1.0
     v_max: float = DEFAULT_V_MAX
@@ -100,16 +115,14 @@ class ScanConfig:
                 "tau grid needs 0 <= start < stop < inf and "
                 f"2 <= steps <= {_MAX_STEPS}, got {self.tau!r}"
             )
-        if not math.isfinite(self.delta_omega):
-            raise ConfigError(f"delta_omega must be finite, got {self.delta_omega!r}")
         for key in ("beta_omega", "velocity"):
             if not getattr(self, key):
                 raise ConfigError(f"{key} needs at least one value")
         self._check("coupling", lambda c: DetectorParams(1.0, 1.0, 0.0, c))
-        self._check("omega", lambda x: DetectorParams(x, 1.0, 0.0))
-        self._check("coupling_strength", lambda x: DetectorParams(1.0, x, 0.0))
         self._check("v_max", lambda x: DetectorParams(1.0, 1.0, 0.0, v_max=x))
         self._check("velocity", lambda x: DetectorParams(1.0, 1.0, x, v_max=self.v_max))
+        self._check("omega", lambda x: _check_rates(x, 1.0, self.v_max))
+        self._check("coupling_strength", lambda x: _check_rates(self.omega, x, self.v_max))
         self._check("beta_omega", lambda x: BathParams(x / self.omega))
 
     def _check(self, key: str, build) -> None:
@@ -140,8 +153,7 @@ def _parse_grid(key: str, raw: str) -> tuple[float, float, int]:
     parts = raw.split(":")
     if len(parts) != 3:
         raise ConfigError(f"{key} expects start:stop:steps, got {raw!r}")
-    start = _parse_float(key, parts[0])
-    stop = _parse_float(key, parts[1])
+    start, stop = (_parse_float(key, p) for p in parts[:2])
     try:
         steps = int(parts[2])
     except ValueError:
@@ -173,10 +185,6 @@ def _emit_list(values: tuple[float, ...]) -> str:
     return ", ".join(repr(x) for x in values)
 
 
-def _emit_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
 # key -> (parse, emit, metavar, help).  Each key is a config-file key and
 # a --flag (underscores as dashes) read by the same parser; a None
 # metavar makes the flag a switch that stands for "true".
@@ -190,12 +198,13 @@ _KEYS = {
         "START:STOP:STEPS",
         "time grid in 1/gamma_0 units (separation grid for wightman)",
     ),
-    "delta_omega": (_parse_float, repr, "X", "level-splitting shift"),
     "omega": (_parse_float, repr, "X", "level splitting"),
     "coupling_strength": (_parse_float, repr, "X", "coupling constant"),
     "v_max": (_parse_float, repr, "X", "largest admissible speed"),
     "epsilon": (_parse_float, repr, "X", "correlation regulator"),
-    "oracle": (_parse_bool, _emit_bool, None, "append brute-force cross-check columns"),
+    "oracle": (
+        _parse_bool, lambda b: str(b).lower(), None, "append brute-force cross-check columns"
+    ),
     "format": (_parse_text, str, "csv|json", "output format"),
     "output": (_parse_text, str, "PATH", "write here instead of stdout"),
 }
@@ -232,12 +241,8 @@ def _parse_config_values(text: str) -> dict:
 
 def emit_config(cfg: ScanConfig) -> str:
     """Render a config back to text; ``parse_config`` round-trips it."""
-    lines = [
-        f"{key} = {emit(getattr(cfg, key))}"
-        for key, (_, emit, _, _) in _KEYS.items()
-        if getattr(cfg, key) is not None
-    ]
-    return "\n".join(lines) + "\n"
+    values = {key: getattr(cfg, key) for key in _KEYS}
+    return "".join(f"{k} = {_KEYS[k][1](x)}\n" for k, x in values.items() if x is not None)
 
 
 def _grid(spec: tuple[float, float, int]) -> list[float]:
@@ -246,37 +251,25 @@ def _grid(spec: tuple[float, float, int]) -> list[float]:
     return [start + i * width for i in range(steps)]
 
 
-def _detector(cfg: ScanConfig, v: float, coupling: Coupling | None = None) -> DetectorParams:
-    return DetectorParams(
-        omega=cfg.omega,
-        lam=cfg.coupling_strength,
-        velocity=v,
-        coupling=cfg.coupling if coupling is None else coupling,
-        v_max=cfg.v_max,
-    )
-
-
-def _run_concurrence(cfg: ScanConfig):
-    cols = ["beta_omega", "velocity", "tau_gamma0", "concurrence"]
-    if cfg.oracle:
-        cols.append("concurrence_wootters")
-    rows = []
-    grid = _grid(cfg.tau)
+def _blocks(cfg: ScanConfig):
+    # one (beta_omega, velocity) block of a scan: its bath and detector
     for bw in cfg.beta_omega:
         bath = BathParams(beta=bw / cfg.omega)
         for v in cfg.velocity:
-            det = _detector(cfg, v)
-            coeffs = lindblad_coefficients(det, bath, cfg.delta_omega)
-            unit = rate_unit(det)
-            wootters = _wootters(coeffs, grid, unit) if cfg.oracle else None
-            for t in grid:
-                closed = concurrence_closed_form(coeffs, t / unit)
-                # each row built whole: a list grown by append keeps spare slots
-                if wootters is None:
-                    rows.append([bw, v, t, closed])
-                else:
-                    rows.append([bw, v, t, closed, next(wootters)])
-    return cols, rows
+            det = DetectorParams(cfg.omega, cfg.coupling_strength, v, cfg.coupling, cfg.v_max)
+            yield bw, v, bath, det
+
+
+def _run_concurrence(cfg: ScanConfig):
+    grid = _grid(cfg.tau)
+    for bw, v, bath, det in _blocks(cfg):
+        coeffs = lindblad_coefficients(det, bath)
+        unit = rate_unit(det)
+        wootters = _wootters(coeffs, grid, unit) if cfg.oracle else None
+        for t in grid:
+            closed = concurrence_closed_form(coeffs, t / unit)
+            # each row built whole: a list grown by append keeps spare slots
+            yield [bw, v, t, closed] if wootters is None else [bw, v, t, closed, next(wootters)]
 
 
 def _wootters(coeffs: LindbladCoefficients, grid: list[float], unit: float):
@@ -288,79 +281,79 @@ def _wootters(coeffs: LindbladCoefficients, grid: list[float], unit: float):
 
 
 def _run_coeffs(cfg: ScanConfig):
-    cols = ["beta_omega", "velocity", "n_udw", "n_td", "gamma_udw_ratio", "gamma_td_ratio"]
-    if cfg.oracle:
-        cols += ["n_udw_quadrature", "n_td_quadrature"]
-    rows = []
-    for bw in cfg.beta_omega:
-        bath = BathParams(beta=bw / cfg.omega)
-        for v in cfg.velocity:
-            det_u = _detector(cfg, v, Coupling.UDW)
-            det_t = _detector(cfg, v, Coupling.DERIVATIVE)
-            row = [
-                bw,
-                v,
-                n_udw(det_u, bath),
-                n_td(det_t, bath),
-                gamma_udw(det_u) / rate_unit(det_u),
-                gamma_td(det_t) / rate_unit(det_t),
-            ]
-            if cfg.oracle:
-                row += [n_udw_quadrature(det_u, bath), n_td_quadrature(det_t, bath)]
-            rows.append(row)
-    return cols, rows
+    for bw, v, bath, det in _blocks(cfg):
+        det_u = replace(det, coupling=Coupling.UDW)
+        det_t = replace(det, coupling=Coupling.DERIVATIVE)
+        row = [bw, v, n_udw(det_u, bath), n_td(det_t, bath)]
+        row += [gamma_udw(det_u) / rate_unit(det_u), gamma_td(det_t) / rate_unit(det_t)]
+        if cfg.oracle:
+            row += [n_udw_quadrature(det_u, bath), n_td_quadrature(det_t, bath)]
+        yield row
 
 
 def _run_death_time(cfg: ScanConfig):
-    cols = ["beta_omega", "velocity", "death_time_gamma0"]
-    if cfg.oracle:
-        cols.append("death_time_bisection")
-    rows = []
-    for bw in cfg.beta_omega:
-        bath = BathParams(beta=bw / cfg.omega)
-        for v in cfg.velocity:
-            det = _detector(cfg, v)
-            coeffs = lindblad_coefficients(det, bath, cfg.delta_omega)
-            unit = rate_unit(det)
-            row = [bw, v, sudden_death_time(coeffs) * unit]
-            if cfg.oracle:
-                row.append(sudden_death_time_bisection(coeffs) * unit)
-            rows.append(row)
-    return cols, rows
+    for bw, v, bath, det in _blocks(cfg):
+        coeffs = lindblad_coefficients(det, bath)
+        unit = rate_unit(det)
+        row = [bw, v, sudden_death_time(coeffs) * unit]
+        if cfg.oracle:
+            row.append(sudden_death_time_bisection(coeffs) * unit)
+        yield row
 
 
 def _run_wightman(cfg: ScanConfig):
-    cols = ["beta_omega", "velocity", "s", "re_w", "im_w"]
-    if cfg.oracle:
-        cols += ["re_w_oracle", "im_w_oracle"]
     if cfg.coupling is Coupling.UDW:
         closed, oracle = wightman_moving, wightman_moving_quadrature
     else:
         closed, oracle = wightman_derivative, wightman_derivative_fd
-    rows = []
-    for bw in cfg.beta_omega:
-        bath = BathParams(beta=bw / cfg.omega)
-        for v in cfg.velocity:
-            det = _detector(cfg, v)
-            for s in _grid(cfg.tau):
-                w = closed(s, det, bath, cfg.epsilon)
-                row = [bw, v, s, w.real, w.imag]
-                if cfg.oracle:
-                    w = oracle(s, det, bath, cfg.epsilon)
-                    row += [w.real, w.imag]
-                rows.append(row)
-    return cols, rows
+    grid = _grid(cfg.tau)
+    for bw, v, bath, det in _blocks(cfg):
+        for s in grid:
+            w = closed(s, det, bath, cfg.epsilon)
+            row = [bw, v, s, w.real, w.imag]
+            if cfg.oracle:
+                w = oracle(s, det, bath, cfg.epsilon)
+                row += [w.real, w.imag]
+            yield row
 
 
-_RUNNERS = {
-    "concurrence": _run_concurrence,
-    "coeffs": _run_coeffs,
-    "death-time": _run_death_time,
-    "wightman": _run_wightman,
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[ScanConfig], Iterator[list[float]]]
+    cols: tuple[str, ...]
+    oracle_cols: tuple[str, ...]  # appended by --oracle
+    defaults: dict = {}  # config values that replace the built-in defaults (read only)
+
+
+# subcommand -> how it scans and what it prints
+_COMMANDS = {
+    "concurrence": _Command(
+        "entanglement of the evolved pair on a time grid",
+        _run_concurrence,
+        ("beta_omega", "velocity", "tau_gamma0", "concurrence"),
+        ("concurrence_wootters",),
+    ),
+    "coeffs": _Command(
+        "occupation numbers and rates over the scan grid",
+        _run_coeffs,
+        ("beta_omega", "velocity", "n_udw", "n_td", "gamma_udw_ratio", "gamma_td_ratio"),
+        ("n_udw_quadrature", "n_td_quadrature"),
+    ),
+    "death-time": _Command(
+        "disentanglement times over the scan grid",
+        _run_death_time,
+        ("beta_omega", "velocity", "death_time_gamma0"),
+        ("death_time_bisection",),
+    ),
+    "wightman": _Command(
+        "field correlation profiles along the worldline",
+        _run_wightman,
+        ("beta_omega", "velocity", "s", "re_w", "im_w"),
+        ("re_w_oracle", "im_w_oracle"),
+        # a separation axis, so the grid must not start at the pole
+        {"tau": (0.1, 3.0, 30)},
+    ),
 }
-
-# the wightman grid is a separation axis, so it must not start at the pole
-_COMMAND_DEFAULTS = {"wightman": {"tau": (0.1, 3.0, 30)}}
 
 
 def _format_value(x: float) -> str:
@@ -369,18 +362,15 @@ def _format_value(x: float) -> str:
     return f"{x:.11e}"
 
 
-def render_csv(cols: list[str], rows: list[list[float]]) -> str:
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_format_value(x) for x in row))
+def render_csv(cols: tuple[str, ...], rows: list[list[float]]) -> str:
+    lines = [",".join(cols)] + [",".join(map(_format_value, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def render_json(cols: list[str], rows: list[list[float]]) -> str:
+def render_json(cols: tuple[str, ...], rows: list[list[float]]) -> str:
     def value(x: float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return float(f"{x:.11e}")
+        text = _format_value(x)
+        return text if math.isinf(x) else float(text)
 
     data = [{c: value(x) for c, x in zip(cols, row)} for row in rows]
     return json.dumps(data, indent=2) + "\n"
@@ -392,32 +382,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Thermal relaxation and entanglement loss of a moving atom.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = [
-        ("concurrence", "entanglement of the evolved pair on a time grid"),
-        ("coeffs", "occupation numbers and rates over the scan grid"),
-        ("death-time", "disentanglement times over the scan grid"),
-        ("wightman", "field correlation profiles along the worldline"),
-    ]
-    for name, help_text in specs:
-        sp = sub.add_parser(name, help=help_text)
-        _add_common_options(sp)
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        # defaults stay None so that only flags the user actually passed
+        # override the config file
+        sp.add_argument("--config", metavar="PATH", help="flat key = value config file")
+        for key, (_, _, metavar, help_text) in _KEYS.items():
+            kind = {"metavar": metavar} if metavar else {"action": "store_const", "const": "true"}
+            sp.add_argument("--" + key.replace("_", "-"), help=help_text, **kind)
     return parser
 
 
-def _add_common_options(sp: argparse.ArgumentParser) -> None:
-    # defaults stay None so that only flags the user actually passed
-    # override the config file
-    sp.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    for key, (_, _, metavar, help_text) in _KEYS.items():
-        flag = "--" + key.replace("_", "-")
-        if metavar is None:
-            sp.add_argument(flag, action="store_const", const="true", help=help_text)
-        else:
-            sp.add_argument(flag, metavar=metavar, help=help_text)
-
-
 def _config_from_args(args: argparse.Namespace) -> ScanConfig:
-    values = dict(_COMMAND_DEFAULTS.get(args.command, {}))
+    values = dict(_COMMANDS[args.command].defaults)
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
@@ -435,7 +412,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        cols, rows = _RUNNERS[args.command](cfg)
+        command = _COMMANDS[args.command]
+        cols = command.cols + (command.oracle_cols if cfg.oracle else ())
+        # rows are collected first, so that rendering is timed on its own
+        rows = list(command.run(cfg))
         text = render_csv(cols, rows) if cfg.format == "csv" else render_json(cols, rows)
         if cfg.output is None:
             sys.stdout.write(text)

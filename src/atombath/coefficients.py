@@ -56,6 +56,9 @@ TWO_PI = 2.0 * math.pi
 # below this speed the direct formulas lose digits to the 1/v prefactor,
 # so a second-order Taylor branch in v takes over
 SMALL_VELOCITY = 1e-4
+# and where beta*omega*v is below this too: the Taylor branch errs by about
+# 1e-2 (beta*omega*v)^4 relative, under 1e-12 here
+_TAYLOR_BV = 3e-3
 
 # past this, exp(-beta*omega*red) underflows for any physical window
 _EXP_UNDERFLOW = 700.0
@@ -142,7 +145,6 @@ class LindbladCoefficients:
     gamma: float
     n: float
     omega_eff: float
-    delta_omega: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.gamma > 0.0:
@@ -256,11 +258,12 @@ def n_udw(detector: DetectorParams, bath: BathParams) -> float:
         sqrt(1 - v^2)/(2 v b) * log[(1 - e^(-b*blue))/(1 - e^(-b*red))]
 
     with ``b = beta * omega``.  Reduces to the Planck value at ``v = 0``
-    (via a Taylor branch below ``v = 1e-4``) and to 0 as ``b -> inf``.
+    (via a Taylor branch where ``v < 1e-4`` and ``b v < 3e-3``) and to 0
+    as ``b -> inf``.
     """
     b = bath.beta * detector.omega
     v = detector.velocity
-    if v < SMALL_VELOCITY:
+    if v < SMALL_VELOCITY and b * v < _TAYLOR_BV:
         return _n_udw_taylor(b, v)
     red, blue = doppler_shifts(v)
     hi = b * blue
@@ -307,7 +310,7 @@ def n_td(detector: DetectorParams, bath: BathParams) -> float:
     """
     b = bath.beta * detector.omega
     v = detector.velocity
-    if v < SMALL_VELOCITY:
+    if v < SMALL_VELOCITY and b * v < _TAYLOR_BV:
         return _n_td_taylor(b, v)
     red, blue = doppler_shifts(v)
     gm2 = 1.0 - v * v
@@ -376,12 +379,7 @@ def lindblad_coefficients(
     else:
         gamma = gamma_td(detector)
         n = n_td(detector, bath)
-    return LindbladCoefficients(
-        gamma=gamma,
-        n=n,
-        omega_eff=detector.omega + delta_omega,
-        delta_omega=delta_omega,
-    )
+    return LindbladCoefficients(gamma=gamma, n=n, omega_eff=detector.omega + delta_omega)
 
 
 def _window_quadrature(b: float, v: float, weight_power: int) -> float:

@@ -29,12 +29,11 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from scipy import integrate
 
 from .coefficients import BathParams, DetectorParams, doppler_shifts
-from .specfun import QuadratureError
+from .specfun import BERNOULLI, QuadratureError
 
 __all__ = [
     "PoleProximityWarning",
@@ -138,10 +137,10 @@ def _csch2(y):
     return 1.0 / (sh * sh)
 
 
-# coth(y) - 1/y = sum_j _COTH[j] y^(2j+1), cut after y^7 (the next term
-# is below 1e-12 relative inside _SERIES_RADIUS).  Every series at a
-# removable singularity below is a derivative of it, cut at the same order.
-_COTH = (Fraction(1, 3), Fraction(-1, 45), Fraction(2, 945), Fraction(-1, 4725))
+# coth(y) - 1/y = sum_{k>=1} 2^(2k) B_2k y^(2k-1)/(2k)!, cut after y^7 (the
+# next term is below 1e-12 relative inside _SERIES_RADIUS).  Every series
+# at a removable singularity below is a derivative of it, cut at the same order.
+_COTH = tuple(2 ** (2 * k) * BERNOULLI[2 * k] / math.factorial(2 * k) for k in range(1, 5))
 
 
 def _derived(k: int, power: int, sign: int = 1) -> tuple[float, ...]:

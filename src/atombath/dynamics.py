@@ -62,36 +62,38 @@ _N_UP = _L_DOWN @ _L_UP
 _SZ = np.kron(PAULI[3], _I2)
 
 
+# slack the state checks forgive; evolved states' eigenvalues sit on a
+# roundoff floor above -_PSD_TOL
+_HERM_TOL = 1e-12
+_TRACE_TOL = 1e-12
+_PSD_TOL = 1e-10
+_BLOCH_TOL = 1e-9
+
+
 class PositivityWarning(UserWarning):
     """Numerically evolved state acquired a noticeably negative eigenvalue."""
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    psd_tol: float = 1e-10,
-) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate two-qubit density matrices and return them as complex ndarray.
 
     ``rho`` is one 4x4 matrix or a ``(..., 4, 4)`` stack of them; every
     state in a stack is checked, and an error names the index of the
-    first one that fails.  Hermiticity and unit trace are enforced at
-    ``herm_tol`` and ``trace_tol``; eigenvalues may dip to ``-psd_tol``
-    before a state is rejected, which leaves room for the roundoff floor
-    of evolved states.
+    first one that fails.  Hermiticity and unit trace are enforced to
+    1e-12; eigenvalues may dip to -1e-10 before a state is rejected,
+    which leaves room for the roundoff floor of evolved states.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
     herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     _reject_first(
-        herm > herm_tol, lambda i: f"matrix is not Hermitian: max deviation {herm[i]:.3e}"
+        herm > _HERM_TOL, lambda i: f"matrix is not Hermitian: max deviation {herm[i]:.3e}"
     )
     tr = rho.trace(axis1=-2, axis2=-1)
-    _reject_first(abs(tr - 1.0) > trace_tol, lambda i: f"trace must be 1, got {tr[i]!r}")
+    _reject_first(abs(tr - 1.0) > _TRACE_TOL, lambda i: f"trace must be 1, got {tr[i]!r}")
     low = np.linalg.eigvalsh(rho).min(axis=-1)
-    _reject_first(low < -psd_tol, lambda i: f"matrix has negative eigenvalue {low[i]:.3e}")
+    _reject_first(low < -_PSD_TOL, lambda i: f"matrix has negative eigenvalue {low[i]:.3e}")
     return rho
 
 
@@ -109,7 +111,7 @@ def _reject_first(bad: np.ndarray, message, error: type[Exception] = ValueError)
     raise error(where + message(i))
 
 
-def check_bloch_tensor(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def check_bloch_tensor(u: np.ndarray) -> np.ndarray:
     """Validate one Pauli-expansion tensor or a ``(..., 4, 4)`` stack of them
     (an error names the first failing one); return them as float ndarray."""
     u = np.asarray(u, dtype=float)
@@ -121,7 +123,9 @@ def check_bloch_tensor(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         lambda i: f"normalization component must be 1/4, got {norm[i]!r}",
     )
     big = np.abs(u).max(axis=(-2, -1))
-    _reject_first(big > 0.25 + tol, lambda i: f"components cannot exceed 1/4, found {big[i]!r}")
+    _reject_first(
+        big > 0.25 + _BLOCH_TOL, lambda i: f"components cannot exceed 1/4, found {big[i]!r}"
+    )
     return u
 
 

@@ -36,6 +36,8 @@ _YY = PAULI_PAIR[2][2]
 # these set how much numerical slack is forgiven before erroring out
 _IMAG_TOL = 1e-10
 _NEG_TOL = 1e-12
+# largest off-X entry XState.from_matrix ignores
+_X_TOL = 1e-12
 
 
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
@@ -116,14 +118,14 @@ class XState:
         return rho
 
     @classmethod
-    def from_matrix(cls, rho: np.ndarray, tol: float = 1e-12) -> "XState":
+    def from_matrix(cls, rho: np.ndarray) -> "XState":
         """Extract the X entries, rejecting matrices that are not X shaped."""
         rho = np.asarray(rho, dtype=complex)
         mask = np.ones((4, 4), dtype=bool)
         for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)):
             mask[i, j] = False
         stray = np.max(np.abs(rho[mask]))
-        if stray > tol:
+        if stray > _X_TOL:
             raise ValueError(f"matrix is not X shaped: stray entry {stray:.3e}")
         return cls(
             d1=rho[0, 0].real,

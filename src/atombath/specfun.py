@@ -27,6 +27,7 @@ Bose-Einstein integral is provided for cross-checking the series.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from scipy import integrate
 
@@ -54,26 +55,22 @@ _SERIES_CAP = 10 ** 7
 # tail ratio is e^-2, so neither runs long
 _WINDOW_SPLIT = 2.0
 
+
+def _bernoulli(n: int) -> tuple[Fraction, ...]:
+    # B_0..B_n exactly, from sum_{k <= m} C(m + 1, k) B_k = 0, so B_1 = -1/2
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return tuple(b)
+
+
+BERNOULLI = _bernoulli(32)
+
 # B_2k / ((2k + 2) (2k)!) for k = 1..16, the even-order coefficients of
 # G(x) = x^2/2 - x^3/6 + sum_k c_k x^(2k+2); the last one weighs 7e-18 of
 # the sum at x = 2
-_DEBYE3_COEFFS = (
-    2.0833333333333332e-02,
-    -2.314814814814815e-04,
-    4.133597883597884e-06,
-    -8.267195767195767e-08,
-    1.7397297489890083e-09,
-    -3.774421527633924e-11,
-    8.364085331677924e-13,
-    -1.8831557201792126e-14,
-    4.293031028138922e-16,
-    -9.885766811627554e-18,
-    2.2954178451500956e-19,
-    -5.367101802235586e-21,
-    1.2623953712962384e-22,
-    -2.9845058090125156e-24,
-    7.087351413555259e-26,
-    -1.689644314374177e-27,
+_DEBYE3_COEFFS = tuple(
+    float(BERNOULLI[2 * k] / ((2 * k + 2) * math.factorial(2 * k))) for k in range(1, 17)
 )
 
 

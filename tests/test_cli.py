@@ -30,7 +30,6 @@ def test_emit_parse_round_trip():
         beta_omega=(0.25, 1.75),
         velocity=(0.0, 0.125, 0.875),
         tau=(0.0, 7.3, 31),
-        delta_omega=0.05,
         omega=2.0,
         coupling_strength=0.3,
         v_max=0.995,
@@ -253,7 +252,7 @@ def test_exit_three_on_numerical_failure(monkeypatch, capsys):
     def blow_up(cfg):
         raise QuadratureError("synthetic tolerance miss")
 
-    monkeypatch.setitem(cli._RUNNERS, "coeffs", blow_up)
+    monkeypatch.setitem(cli._COMMANDS, "coeffs", cli._COMMANDS["coeffs"]._replace(run=blow_up))
     assert main(["coeffs"]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -265,7 +264,6 @@ def test_exit_three_on_numerical_failure(monkeypatch, capsys):
         ["--beta-omega", "inf"],
         ["--omega", "inf"],
         ["--tau", "0:inf:5"],
-        ["--delta-omega", "nan"],
         ["--tau", "0:1:100000000000"],
     ],
 )
@@ -276,6 +274,45 @@ def test_exit_two_on_non_finite_or_unbounded_input(flags, capsys):
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["concurrence", "--coupling-strength", "1e-200"], "coupling_strength"),
+        (["death-time", "--coupling-strength", "1e-200"], "coupling_strength"),
+        (["coeffs", "--coupling-strength", "1e-200"], "coupling_strength"),
+        (["concurrence", "--coupling-strength", "1e200"], "coupling_strength"),
+        (["coeffs", "--coupling-strength", "1e200"], "coupling_strength"),
+        (["death-time", "--coupling-strength", "1e200"], "coupling_strength"),
+        (["wightman", "--coupling-strength", "1e200"], "coupling_strength"),
+        # a subnormal rate unit: tau/unit overflowed into a math domain error
+        (["concurrence", "--coupling-strength", "1e-160", "--oracle"], "coupling_strength"),
+        (["coeffs", "--omega", "1e-120"], "omega"),
+        (["coeffs", "--omega", "1e200"], "omega"),
+        (["wightman", "--omega", "1e200"], "omega"),
+    ],
+)
+def test_exit_two_where_a_rate_leaves_the_floats(argv, key, capsys):
+    # lam^2 omega^3 over- or underflows: the rates overflowed (exit 3) or
+    # vanished behind an error that named no flag
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {key}: ") and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["death-time", "--coupling-strength", "1e-150", "--oracle"],
+        ["death-time", "--coupling", "td", "--coupling-strength", "1e150", "--oracle"],
+        ["coeffs", "--omega", "1e-100", "--oracle"],
+        ["coeffs", "--omega", "1e100", "--oracle"],
+    ],
+)
+def test_rates_near_the_ends_of_the_floats_still_scan(argv, capsys):
+    rows = _csv_rows(argv, capsys)
+    assert rows and all(math.isfinite(float(x)) for r in rows for x in r.split(","))
 
 
 def test_exit_two_on_unwritable_output(tmp_path, capsys):
@@ -295,7 +332,7 @@ def test_runner_errors_map_to_exit_codes(exc, code, monkeypatch, capsys):
     def fail(cfg):
         raise exc
 
-    monkeypatch.setitem(cli._RUNNERS, "coeffs", fail)
+    monkeypatch.setitem(cli._COMMANDS, "coeffs", cli._COMMANDS["coeffs"]._replace(run=fail))
     assert main(["coeffs"]) == code
     assert "synthetic" in capsys.readouterr().err
 
@@ -319,7 +356,6 @@ _FLAG_VALUES = {
     "--tau": st.tuples(_number(0.0, 1.0), _number(1.0, 10.0), st.integers(-2, 50)).map(
         lambda g: f"{g[0]}:{g[1]}:{g[2]}"
     ),
-    "--delta-omega": _number(-1.0, 1.0),
     "--omega": _number(0.1, 10.0),
     "--coupling-strength": _number(0.1, 2.0),
     "--v-max": _number(0.5, 0.999),
@@ -330,7 +366,7 @@ _FLAG_VALUES = {
 
 @st.composite
 def _argv(draw):
-    argv = [draw(st.sampled_from(sorted(cli._RUNNERS)))]
+    argv = [draw(st.sampled_from(sorted(cli._COMMANDS)))]
     flags = st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=3, unique=True)
     for flag in draw(flags):
         argv += [flag, draw(_FLAG_VALUES[flag])]

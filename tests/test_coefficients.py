@@ -71,7 +71,7 @@ def test_params_reject_non_finite_and_zero_values(bad):
 
 
 def test_lindblad_coefficients_derived_rates():
-    c = LindbladCoefficients(gamma=0.7, n=1.3, omega_eff=2.0, delta_omega=0.1)
+    c = LindbladCoefficients(gamma=0.7, n=1.3, omega_eff=2.0)
     assert c.a == pytest.approx(0.7 * 3.6, rel=1e-15)
     assert c.b == -0.7
     # a^2 - b^2 = 4 gamma^2 n (n+1) by construction
@@ -188,6 +188,19 @@ def test_taylor_branch_meets_direct_formula():
             )
 
 
+@pytest.mark.parametrize("b", [1e-3, 0.1, 1.0, 10.0, 30.0, 100.0, 300.0, 500.0, 700.0])
+def test_small_velocity_occupations_match_quadrature(b):
+    # the v^2 Taylor branch errs by ~(b v)^4: it was taken below v = 1e-4
+    # whatever b was, 1.9e-7 off at (700, 9.9e-5).  Below v = 1e-5 the
+    # oracle's own rounded window limits cost ~1e-16/v, so the grid stops there
+    bath = BathParams(beta=b)
+    for v in (0.0, 1e-5, 3e-5, 5e-5, 9.9e-5, 1e-4, 3e-4, 1e-3, 0.5, 0.99):
+        du, dt = _detector(v), _detector(v, Coupling.DERIVATIVE)
+        # abs=0: at b = 700 the values are ~1e-304, far below approx's 1e-12
+        assert n_udw(du, bath) == pytest.approx(n_udw_quadrature(du, bath), rel=1e-10, abs=0)
+        assert n_td(dt, bath) == pytest.approx(n_td_quadrature(dt, bath), rel=1e-10, abs=0)
+
+
 def test_frozen_occupation_values():
     # window-quadrature oracle numbers, frozen
     bath = BathParams(beta=1.0)
@@ -253,7 +266,6 @@ def test_lindblad_coefficients_dispatch():
     assert cu.gamma == pytest.approx(gamma_udw(_detector(0.5)), rel=1e-15)
     assert cu.n == pytest.approx(n_udw(_detector(0.5), bath), rel=1e-15)
     assert cu.omega_eff == pytest.approx(1.25, rel=1e-15)
-    assert cu.delta_omega == 0.25
     assert ct.gamma == pytest.approx(gamma_td(_detector(0.5, Coupling.DERIVATIVE)), rel=1e-15)
     assert ct.n == pytest.approx(n_td(_detector(0.5, Coupling.DERIVATIVE), bath), rel=1e-15)
     assert ct.omega_eff == 1.0

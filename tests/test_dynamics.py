@@ -242,7 +242,7 @@ def test_rk4_hits_tau_exactly_with_coarse_dt():
 def test_delta_omega_moves_coherence_phase_only():
     # detuning rotates rows 1-2 faster but leaves populations alone
     base = LindbladCoefficients(gamma=1.0, n=0.5, omega_eff=1.0)
-    detuned = LindbladCoefficients(gamma=1.0, n=0.5, omega_eff=1.4, delta_omega=0.4)
+    detuned = LindbladCoefficients(gamma=1.0, n=0.5, omega_eff=1.4)
     tau = 0.8
     da = shared_state(base, tau)
     db = shared_state(detuned, tau)

@@ -140,7 +140,7 @@ def test_closed_form_frozen_value():
 
 def test_concurrence_ignores_detuning():
     # the coherent rotation moves phases, never the coherence magnitude
-    detuned = LindbladCoefficients(gamma=1.0, n=0.5, omega_eff=7.3, delta_omega=6.0)
+    detuned = LindbladCoefficients(gamma=1.0, n=0.5, omega_eff=7.3)
     for tau in (0.3, 0.9):
         assert concurrence_closed_form(detuned, tau) == pytest.approx(
             concurrence_closed_form(COEFFS, tau), rel=1e-14
