@@ -68,21 +68,6 @@ _MAX_STEPS = 10**6
 _ORACLE_SLICE = 1024
 
 
-def _check_rates(omega: float, lam: float, v_max: float) -> None:
-    # a scan divides by rate_unit and multiplies by the rates: each must be a
-    # normal positive float (t/rate_unit overflows on a subnormal one) at both
-    # ends of the speed range; the monopole rate_unit is gamma_udw
-    for v in (0.0, v_max):
-        det = DetectorParams(omega, lam, v, Coupling.DERIVATIVE, v_max)
-        for rate in (rate_unit, gamma_udw, gamma_td):
-            try:
-                r = rate(det)
-            except OverflowError:  # float ** raises where float * gives inf
-                r = math.inf
-            if not sys.float_info.min <= r < math.inf:
-                raise ValueError(f"{rate.__name__} at v = {v} is {r!r}, outside the normal floats")
-
-
 @dataclass(frozen=True)
 class ScanConfig:
     """Fully resolved scan parameters shared by all subcommands.
@@ -121,9 +106,16 @@ class ScanConfig:
         self._check("coupling", lambda c: DetectorParams(1.0, 1.0, 0.0, c))
         self._check("v_max", lambda x: DetectorParams(1.0, 1.0, 0.0, v_max=x))
         self._check("velocity", lambda x: DetectorParams(1.0, 1.0, x, v_max=self.v_max))
-        self._check("omega", lambda x: _check_rates(x, 1.0, self.v_max))
-        self._check("coupling_strength", lambda x: _check_rates(self.omega, x, self.v_max))
+        self._check("omega", lambda x: self._rates(x, 1.0))
+        self._check("coupling_strength", lambda x: self._rates(self.omega, x))
         self._check("beta_omega", lambda x: BathParams(x / self.omega))
+
+    def _rates(self, omega: float, lam: float) -> None:
+        # DetectorParams checks its rates; a scan meets both couplings' rates
+        # (coeffs prints both) and the speed range's two ends
+        for coupling in Coupling:
+            for v in (0.0, self.v_max):
+                DetectorParams(omega, lam, v, coupling, self.v_max)
 
     def _check(self, key: str, build) -> None:
         # the library type's own check, re-raised as a config error naming the key
@@ -262,9 +254,12 @@ def _blocks(cfg: ScanConfig):
 
 def _run_concurrence(cfg: ScanConfig):
     grid = _grid(cfg.tau)
+    # the rate unit depends on neither beta_omega nor v: one check, before any row
+    unit = rate_unit(DetectorParams(cfg.omega, cfg.coupling_strength, 0.0, cfg.coupling, cfg.v_max))
+    if not cfg.tau[1] / unit < math.inf:
+        raise ConfigError(f"tau: stop {cfg.tau[1]!r} over the rate unit {unit!r} overflows")
     for bw, v, bath, det in _blocks(cfg):
         coeffs = lindblad_coefficients(det, bath)
-        unit = rate_unit(det)
         wootters = _wootters(coeffs, grid, unit) if cfg.oracle else None
         for t in grid:
             closed = concurrence_closed_form(coeffs, t / unit)

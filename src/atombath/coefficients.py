@@ -22,6 +22,7 @@ temperatures enter only through the dimensionless product
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -59,9 +60,6 @@ SMALL_VELOCITY = 1e-4
 # and where beta*omega*v is below this too: the Taylor branch errs by about
 # 1e-2 (beta*omega*v)^4 relative, under 1e-12 here
 _TAYLOR_BV = 3e-3
-
-# past this, exp(-beta*omega*red) underflows for any physical window
-_EXP_UNDERFLOW = 700.0
 
 # n_td takes its Doppler window with beta*omega squared factored out once
 # the window's blue edge lies below this; far above the subnormal range
@@ -110,6 +108,17 @@ class DetectorParams:
             )
         if not isinstance(self.coupling, Coupling):
             raise TypeError(f"coupling must be a Coupling, got {self.coupling!r}")
+        # time axes are divided by rate_unit and the rates scale every
+        # generator: a subnormal unit overflows t/unit, an infinite one is no rate
+        for rate in (rate_unit, gamma_udw if self.coupling is Coupling.UDW else gamma_td):
+            try:
+                r = rate(self)
+            except OverflowError:  # float ** raises where float * gives inf
+                r = math.inf
+            if not sys.float_info.min <= r < math.inf:
+                raise ValueError(
+                    f"{rate.__name__} at v = {self.velocity!r} is {r!r}, outside the normal floats"
+                )
 
     @property
     def lorentz_gamma(self) -> float:
@@ -193,13 +202,20 @@ def doppler_window(bath: BathParams, velocity: float) -> tuple[float, float]:
     return t * red * red, t * blue * blue
 
 
+def _planck(b: float) -> tuple[float, float, float]:
+    # u = e^-b, the Planck occupation p = u/(1 - u) and r = b/(1 - u), with
+    # 1 - u from expm1: nothing cancels in a hot bath, and p underflows to 0
+    # by itself in a cold one
+    u = math.exp(-b)
+    one = -math.expm1(-b)
+    return u, u / one, b / one
+
+
 def planck_occupation(x: float) -> float:
     """Planck mean occupation ``1/(e^x - 1)`` of a mode with ``beta*omega = x``."""
     if not x > 0.0:
         raise ValueError(f"beta*omega must be positive, got {x!r}")
-    if x > _EXP_UNDERFLOW:
-        return 0.0
-    return 1.0 / math.expm1(x)
+    return _planck(x)[1]
 
 
 def gamma_udw(detector: DetectorParams) -> float:
@@ -230,21 +246,14 @@ def rate_unit(detector: DetectorParams) -> float:
     of the rate, not the rest-frame rate itself).
     """
     if detector.coupling is Coupling.UDW:
-        return detector.lam ** 2 * detector.omega / TWO_PI
+        return gamma_udw(detector)
     return detector.lam ** 2 * detector.omega ** 3 / (6.0 * math.pi)
 
 
 def _n_udw_taylor(b: float, v: float) -> float:
     # N = P + c2 v^2 + O(v^4), P the Planck occupation at beta*omega = b.
-    # c2 follows from expanding the window average to second order in v.
-    # 1 - e^-b comes from expm1 and b/(1 - e^-b) stays one ratio r, so
-    # nothing cancels or underflows in a hot bath
-    if b > _EXP_UNDERFLOW:
-        return 0.0
-    u = math.exp(-b)
-    one = -math.expm1(-b)
-    p = u / one
-    r = b / one
+    # c2 follows from expanding the window average to second order in v
+    u, p, r = _planck(b)
     c2 = (r * p / 2.0) * (r * (1.0 + u) / 3.0 - 1.0)
     return p + c2 * v * v
 
@@ -268,8 +277,6 @@ def n_udw(detector: DetectorParams, bath: BathParams) -> float:
     red, blue = doppler_shifts(v)
     hi = b * blue
     lo = b * red
-    if lo > _EXP_UNDERFLOW:
-        return 0.0
     # the window logarithm as one log1p: in a cold bath both
     # log(1 - e^-x) are ~ -e^-x and their difference would cancel
     ratio = math.exp(-lo) * -math.expm1(lo - hi) / -math.expm1(-lo)
@@ -279,17 +286,12 @@ def n_udw(detector: DetectorParams, bath: BathParams) -> float:
 def _n_td_taylor(b: float, v: float) -> float:
     # N = P + d2 v^2 + O(v^4) for the cubic-weighted window average; the
     # second derivatives of the tail integral enter through the window
-    # endpoints and the (3 + v^2) normalization contributes -4P/3.  As in
-    # _n_udw_taylor, expm1 and r = b/(1 - e^-b) keep hot baths exact
-    if b > _EXP_UNDERFLOW:
-        return 0.0
-    u = math.exp(-b)
-    one = -math.expm1(-b)
-    p = u / one
-    r = b / one
-    # F''(b) and F'''(b) for F(x) = int_x^inf t^2/(e^t - 1) dt
-    f2 = (r - 2.0) * b * p
-    f3 = -2.0 * p + 4.0 * r * p - r * r * p * (1.0 + u)
+    # endpoints and the (3 + v^2) normalization contributes -4P/3
+    u, p, r = _planck(b)
+    # F''(b) and F'''(b) for F(x) = int_x^inf t^2/(e^t - 1) dt; p multiplies
+    # first, so a frozen bath's p = 0 meets no overflowed b*r or r*r
+    f2 = p * b * (r - 2.0)
+    f3 = -2.0 * p + 4.0 * r * p - p * r * r * (1.0 + u)
     d2 = -(4.0 / 3.0) * p - f2 / (2.0 * b) - f3 / 6.0
     return p + d2 * v * v
 
@@ -356,54 +358,47 @@ def n_udw_low_temp(detector: DetectorParams, bath: BathParams) -> float:
     """
     b = bath.beta * detector.omega
     v = detector.velocity
-    if v < SMALL_VELOCITY:
-        # v -> 0 limit of the difference quotient
-        return math.exp(-b) if b <= _EXP_UNDERFLOW else 0.0
-    red, blue = doppler_shifts(v)
-    lo = math.exp(-b * red) if b * red <= _EXP_UNDERFLOW else 0.0
-    hi = math.exp(-b * blue) if b * blue <= _EXP_UNDERFLOW else 0.0
-    return math.sqrt(1.0 - v * v) / (2.0 * v * b) * (lo - hi)
+    red, _ = doppler_shifts(v)
+    # the difference as e^(-b red) (1 - e^(-b w))/(b w), w = blue - red
+    bw = b * 2.0 * v / math.sqrt(1.0 - v * v)
+    if bw == 0.0:  # v = 0: the limit of the difference quotient
+        return math.exp(-b)
+    return math.exp(-b * red) * -math.expm1(-bw) / bw
 
 
-def lindblad_coefficients(
-    detector: DetectorParams, bath: BathParams, delta_omega: float = 0.0
-) -> LindbladCoefficients:
-    """Bundle the rates for the detector's coupling into one object.
-
-    ``delta_omega`` is the Lamb-type shift of the splitting; it feeds the
-    coherent rotation only and never the rates.
-    """
+def lindblad_coefficients(detector: DetectorParams, bath: BathParams) -> LindbladCoefficients:
+    """Bundle the rates for the detector's coupling into one object."""
     if detector.coupling is Coupling.UDW:
         gamma = gamma_udw(detector)
         n = n_udw(detector, bath)
     else:
         gamma = gamma_td(detector)
         n = n_td(detector, bath)
-    return LindbladCoefficients(gamma=gamma, n=n, omega_eff=detector.omega + delta_omega)
+    return LindbladCoefficients(gamma=gamma, n=n, omega_eff=detector.omega)
 
 
 def _window_quadrature(b: float, v: float, weight_power: int) -> float:
     red, blue = doppler_shifts(v)
+    lo = b * red
+    # e^-lo is taken out of the integrand, which then keeps its red-edge size
+    # however cold the bath; where e^-lo underflows, so does the window
+    scale = math.exp(-lo)
+    if scale == 0.0:
+        return 0.0
 
     def integrand(x: float) -> float:
-        # 1/(e^x - 1) written with e^-x, which cannot overflow past x = 709;
-        # where e^-x underflows the integrand is 0 before x**p can overflow
-        e = math.exp(-x)
-        if e == 0.0:
-            return 0.0
-        return x ** weight_power * e / -math.expm1(-x)
+        # 1/(e^x - 1) written with e^-x, which cannot overflow past x = 709
+        return x ** weight_power * math.exp(lo - x) / -math.expm1(-x)
 
     # epsabs=0 keeps the stopping target relative, as the check below is;
     # cold windows have values far below any fixed absolute target
-    val, err = integrate.quad(
-        integrand, b * red, b * blue, epsabs=0.0, epsrel=1e-12, limit=400
-    )
+    val, err = integrate.quad(integrand, lo, b * blue, epsabs=0.0, epsrel=1e-12, limit=400)
     if not math.isfinite(val) or err > 1e-10 * max(abs(val), 1e-280):
         raise QuadratureError(
             f"window quadrature for b={b}, v={v} only reached an error "
             f"estimate of {err:.3e}"
         )
-    return val
+    return scale * val
 
 
 def n_udw_quadrature(detector: DetectorParams, bath: BathParams) -> float:

@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import math
+import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +143,12 @@ def test_wightman_golden_reproduces(coupling, tmp_path):
             ["death-time", "--coupling", "td", "--beta-omega", "0.01,0.5,5,50,800"]
             + ["--velocity", "0,1e-5,0.5,0.99", "--format", "json"],
             "death_time_td_golden.json",
+        ),
+        # v = 0 death times where n = e^-beta_omega is normal (699, 705),
+        # subnormal (720, 740) and 0 (746)
+        (
+            ["death-time", "--beta-omega", "699,705,720,740,746", "--velocity", "0,0.01"],
+            "death_time_cold_golden.csv",
         ),
     ],
 )
@@ -472,6 +480,38 @@ def test_coeffs_oracle_in_a_frozen_bath(capsys):
     for row in _csv_rows(argv, capsys):
         n_udw, n_td, _, _, n_udw_q, n_td_q = map(float, row.split(",")[2:])
         assert n_udw == n_udw_q == 0.0 and n_td == n_td_q == 0.0
+
+
+def test_coeffs_oracle_in_cold_baths_warns_nothing_and_agrees(capsys):
+    # the closed forms cut n to 0 past beta_omega*red = 700, and scipy warned
+    # of roundoff on the subnormal integrand at (1000, 0.3)
+    argv = ["coeffs", "--beta-omega", "700,1000", "--velocity", "0,0.3,0.9,0.99", "--oracle"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _csv_rows(argv, capsys)
+    assert capsys.readouterr().err == ""
+    assert len(rows) == 8
+    for row in rows:
+        n_udw, n_td, _, _, n_udw_q, n_td_q = map(float, row.split(",")[2:])
+        for closed, oracle in ((n_udw, n_udw_q), (n_td, n_td_q)):
+            if closed >= sys.float_info.min:
+                assert oracle == pytest.approx(closed, rel=1e-10, abs=0.0), row
+            else:
+                assert oracle == pytest.approx(closed, rel=0.0, abs=1e-320), row
+    assert float(rows[5].split(",")[2]) > 0.0  # (1000, 0.3): subnormal, not 0
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+@pytest.mark.parametrize(
+    "flags",
+    [["--tau", "0:1e308:3"], ["--coupling-strength", "1e-153", "--tau", "0:100:3"]],
+)
+def test_exit_two_where_the_tau_grid_overflows_over_the_rate_unit(flags, oracle, capsys):
+    # --oracle gave a numpy RuntimeWarning and a math domain error naming no key
+    argv = ["concurrence", "--beta-omega", "1", "--velocity", "0"] + flags + oracle
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tau: ") and captured.out == ""
 
 
 @pytest.mark.parametrize(

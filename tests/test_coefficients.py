@@ -53,6 +53,29 @@ def test_detector_params_validation():
     assert d.lorentz_gamma == pytest.approx(1.0 / math.sqrt(1.0 - 0.995 ** 2))
 
 
+@pytest.mark.parametrize(
+    "omega, lam, coupling",
+    [
+        (1.0, 1e-200, Coupling.UDW),
+        (1.0, 1e-160, Coupling.UDW),  # a subnormal rate unit
+        (1.0, 1e200, Coupling.UDW),
+        (1e-120, 1.0, Coupling.DERIVATIVE),
+        (1e200, 1.0, Coupling.DERIVATIVE),  # omega**3 raises OverflowError
+    ],
+)
+def test_detector_params_reject_rates_outside_the_normal_floats(omega, lam, coupling):
+    with pytest.raises(ValueError, match="outside the normal floats"):
+        DetectorParams(omega=omega, lam=lam, velocity=0.0, coupling=coupling)
+
+
+def test_detector_params_check_the_rate_at_its_own_speed():
+    # gamma_td grows as 1/(1 - v^2): normal at rest, inf near v_max
+    lam = 5e153
+    DetectorParams(omega=1.0, lam=lam, velocity=0.0, coupling=Coupling.DERIVATIVE)
+    with pytest.raises(ValueError, match="gamma_td"):
+        DetectorParams(omega=1.0, lam=lam, velocity=0.99, coupling=Coupling.DERIVATIVE)
+
+
 def test_bath_params_validation():
     with pytest.raises(ValueError):
         BathParams(beta=0.0)
@@ -106,6 +129,9 @@ def test_doppler_window_full_factors():
 def test_planck_occupation():
     assert planck_occupation(1.0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-15)
     assert planck_occupation(800.0) == 0.0
+    # e^-705 is a normal float and e^-740 a subnormal one: neither is cut to 0
+    assert planck_occupation(705.0) == pytest.approx(math.exp(-705.0), rel=1e-15)
+    assert planck_occupation(740.0) == math.exp(-740.0) > 0.0
     with pytest.raises(ValueError):
         planck_occupation(0.0)
 
@@ -259,13 +285,23 @@ def test_low_temperature_asymptote():
     assert n_udw_low_temp(_detector(0.0), bath) == pytest.approx(math.exp(-20.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("b, v", [(700.0, 1e-4), (700.0, 9.9e-5), (700.0, 1e-3), (20.0, 1e-5), (20.0, 0.3)])
+def test_low_temperature_form_matches_its_formula(b, v):
+    # sqrt(1 - v^2)/(2 v b) (e^(-b red) - e^(-b blue)), evaluated as written
+    red, blue = doppler_shifts(v)
+    formula = math.sqrt(1.0 - v * v) / (2.0 * v * b) * (math.exp(-b * red) - math.exp(-b * blue))
+    assert n_udw_low_temp(_detector(v), BathParams(beta=b)) == pytest.approx(
+        formula, rel=1e-11, abs=0.0
+    )
+
+
 def test_lindblad_coefficients_dispatch():
     bath = BathParams(beta=1.0)
-    cu = lindblad_coefficients(_detector(0.5), bath, delta_omega=0.25)
+    cu = lindblad_coefficients(_detector(0.5), bath)
     ct = lindblad_coefficients(_detector(0.5, Coupling.DERIVATIVE), bath)
     assert cu.gamma == pytest.approx(gamma_udw(_detector(0.5)), rel=1e-15)
     assert cu.n == pytest.approx(n_udw(_detector(0.5), bath), rel=1e-15)
-    assert cu.omega_eff == pytest.approx(1.25, rel=1e-15)
+    assert cu.omega_eff == 1.0
     assert ct.gamma == pytest.approx(gamma_td(_detector(0.5, Coupling.DERIVATIVE)), rel=1e-15)
     assert ct.n == pytest.approx(n_td(_detector(0.5, Coupling.DERIVATIVE), bath), rel=1e-15)
     assert ct.omega_eff == 1.0

@@ -214,7 +214,9 @@ def test_huge_occupation_keeps_the_death_time_finite():
 
 @pytest.mark.parametrize("coupling", list(Coupling))
 @pytest.mark.parametrize("velocity", [0.0, 0.5])
-@pytest.mark.parametrize("beta_omega", [1e-110, 1e-14, 1e-9, 1e-6, 0.5, 120.0, 300.0, 700.0])
+@pytest.mark.parametrize(
+    "beta_omega", [1e-110, 1e-14, 1e-9, 1e-6, 0.5, 120.0, 300.0, 700.0, 705.0, 720.0, 740.0]
+)
 def test_bisection_agrees_from_very_hot_to_very_cold_baths(beta_omega, velocity, coupling):
     det = DetectorParams(omega=1.0, lam=1.0, velocity=velocity, coupling=coupling)
     coeffs = lindblad_coefficients(det, BathParams(beta=beta_omega))
