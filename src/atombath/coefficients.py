@@ -110,7 +110,7 @@ class DetectorParams:
             raise TypeError(f"coupling must be a Coupling, got {self.coupling!r}")
         # time axes are divided by rate_unit and the rates scale every
         # generator: a subnormal unit overflows t/unit, an infinite one is no rate
-        for rate in (rate_unit, gamma_udw if self.coupling is Coupling.UDW else gamma_td):
+        for rate in (rate_unit,) if self.coupling is Coupling.UDW else (rate_unit, gamma_td):
             try:
                 r = rate(self)
             except OverflowError:  # float ** raises where float * gives inf
@@ -250,6 +250,12 @@ def rate_unit(detector: DetectorParams) -> float:
     return detector.lam ** 2 * detector.omega ** 3 / (6.0 * math.pi)
 
 
+def _beta_omega(detector: DetectorParams, bath: BathParams) -> float:
+    if not (b := bath.beta * detector.omega) < math.inf:  # the occupations would turn to nan
+        raise ValueError(f"beta*omega overflows: beta={bath.beta!r}, omega={detector.omega!r}")
+    return b
+
+
 def _n_udw_taylor(b: float, v: float) -> float:
     # N = P + c2 v^2 + O(v^4), P the Planck occupation at beta*omega = b.
     # c2 follows from expanding the window average to second order in v
@@ -270,7 +276,7 @@ def n_udw(detector: DetectorParams, bath: BathParams) -> float:
     (via a Taylor branch where ``v < 1e-4`` and ``b v < 3e-3``) and to 0
     as ``b -> inf``.
     """
-    b = bath.beta * detector.omega
+    b = _beta_omega(detector, bath)
     v = detector.velocity
     if v < SMALL_VELOCITY and b * v < _TAYLOR_BV:
         return _n_udw_taylor(b, v)
@@ -291,7 +297,7 @@ def _n_td_taylor(b: float, v: float) -> float:
     # F''(b) and F'''(b) for F(x) = int_x^inf t^2/(e^t - 1) dt; p multiplies
     # first, so a frozen bath's p = 0 meets no overflowed b*r or r*r
     f2 = p * b * (r - 2.0)
-    f3 = -2.0 * p + 4.0 * r * p - p * r * r * (1.0 + u)
+    f3 = -2.0 * p + 4.0 * p * r - p * r * r * (1.0 + u)
     d2 = -(4.0 / 3.0) * p - f2 / (2.0 * b) - f3 / 6.0
     return p + d2 * v * v
 
@@ -310,7 +316,7 @@ def n_td(detector: DetectorParams, bath: BathParams) -> float:
     once the temperature is low, which makes it fall off faster with
     speed in the regimes of interest.
     """
-    b = bath.beta * detector.omega
+    b = _beta_omega(detector, bath)
     v = detector.velocity
     if v < SMALL_VELOCITY and b * v < _TAYLOR_BV:
         return _n_td_taylor(b, v)
@@ -336,7 +342,7 @@ def n_udw_high_temp(detector: DetectorParams, bath: BathParams) -> float:
 
     Good to about 1% already at ``b = 0.01`` for moderate speeds.
     """
-    b = bath.beta * detector.omega
+    b = _beta_omega(detector, bath)
     v = detector.velocity
     if v == 0.0:
         return 1.0 / b
@@ -356,14 +362,12 @@ def n_udw_low_temp(detector: DetectorParams, bath: BathParams) -> float:
     softened modes astern are easier to absorb.  Reduces to ``e^-b`` as
     ``v -> 0``.
     """
-    b = bath.beta * detector.omega
+    b = _beta_omega(detector, bath)
     v = detector.velocity
     red, _ = doppler_shifts(v)
     # the difference as e^(-b red) (1 - e^(-b w))/(b w), w = blue - red
-    bw = b * 2.0 * v / math.sqrt(1.0 - v * v)
-    if bw == 0.0:  # v = 0: the limit of the difference quotient
-        return math.exp(-b)
-    return math.exp(-b * red) * -math.expm1(-bw) / bw
+    bw = b * (2.0 * v) / math.sqrt(1.0 - v * v)  # 0 at v = 0, where the quotient tends to 1
+    return math.exp(-b * red) * (-math.expm1(-bw) / bw if bw else 1.0)
 
 
 def lindblad_coefficients(detector: DetectorParams, bath: BathParams) -> LindbladCoefficients:
@@ -403,17 +407,16 @@ def _window_quadrature(b: float, v: float, weight_power: int) -> float:
 
 def n_udw_quadrature(detector: DetectorParams, bath: BathParams) -> float:
     """Brute-force cross-check of :func:`n_udw` by direct window quadrature."""
-    b = bath.beta * detector.omega
+    b = _beta_omega(detector, bath)
     v = detector.velocity
     if v == 0.0:
         return planck_occupation(b)
-    val = _window_quadrature(b, v, 0)
-    return math.sqrt(1.0 - v * v) / (2.0 * v * b) * val
+    return math.sqrt(1.0 - v * v) / (2.0 * v * b) * _window_quadrature(b, v, 0)
 
 
 def n_td_quadrature(detector: DetectorParams, bath: BathParams) -> float:
     """Brute-force cross-check of :func:`n_td` by direct window quadrature."""
-    b = bath.beta * detector.omega
+    b = _beta_omega(detector, bath)
     v = detector.velocity
     if v == 0.0:
         return planck_occupation(b)

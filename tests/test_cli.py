@@ -475,8 +475,9 @@ def test_oracle_slices_do_not_change_rows(capsys):
 
 
 def test_coeffs_oracle_in_a_frozen_bath(capsys):
-    # the window quadrature formed x**2 past the overflow of a float
-    argv = ["coeffs", "--beta-omega", "1e300", "--velocity", "0,0.5,0.9", "--oracle"]
+    # the window quadrature formed x**2 past the overflow of a float, and the
+    # v^2 Taylor branches formed inf*0 once 4*r or b*2 overflowed (1.7e308)
+    argv = ["coeffs", "--beta-omega", "1e300,1.7e308", "--velocity", "0,0.5,0.9", "--oracle"]
     for row in _csv_rows(argv, capsys):
         n_udw, n_td, _, _, n_udw_q, n_td_q = map(float, row.split(",")[2:])
         assert n_udw == n_udw_q == 0.0 and n_td == n_td_q == 0.0

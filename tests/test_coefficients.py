@@ -295,6 +295,28 @@ def test_low_temperature_form_matches_its_formula(b, v):
     )
 
 
+@pytest.mark.parametrize("b", [1e300, 1.7e308, 1.7976931348623157e308])
+@pytest.mark.parametrize("v", [0.0, 1e-5, 0.5])
+def test_frozen_bath_occupations_are_zero(b, v):
+    # inf*0 = nan waits wherever an overflowed b*r, r*r or b*2 meets P = 0 or v = 0
+    bath = BathParams(beta=b)
+    for n in (n_udw, n_udw_low_temp, n_udw_quadrature):
+        assert n(_detector(v), bath) == 0.0, n.__name__
+    for n in (n_td, n_td_quadrature):
+        assert n(_detector(v, Coupling.DERIVATIVE), bath) == 0.0, n.__name__
+
+
+@pytest.mark.parametrize(
+    "occupation",
+    [n_udw, n_td, n_udw_high_temp, n_udw_low_temp, n_udw_quadrature, n_td_quadrature,
+     lindblad_coefficients],
+)
+def test_occupations_reject_a_beta_omega_past_the_floats(occupation):
+    # each factor is a valid float, their product is not
+    with pytest.raises(ValueError, match=r"beta\*omega overflows"):
+        occupation(_detector(0.0, omega=1e10), BathParams(beta=1e300))
+
+
 def test_lindblad_coefficients_dispatch():
     bath = BathParams(beta=1.0)
     cu = lindblad_coefficients(_detector(0.5), bath)
