@@ -26,8 +26,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy import integrate
-
 from .specfun import QuadratureError, bose_head_ratio, bose_window
 
 __all__ = [
@@ -393,6 +391,8 @@ def _window_quadrature(b: float, v: float, weight_power: int) -> float:
     def integrand(x: float) -> float:
         # 1/(e^x - 1) written with e^-x, which cannot overflow past x = 709
         return x ** weight_power * math.exp(lo - x) / -math.expm1(-x)
+
+    from scipy import integrate  # ~50 MB at import; only the oracles need it
 
     # epsabs=0 keeps the stopping target relative, as the check below is;
     # cold windows have values far below any fixed absolute target

@@ -30,8 +30,6 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-from scipy import integrate
-
 from .coefficients import BathParams, DetectorParams, doppler_shifts
 from .specfun import BERNOULLI, QuadratureError
 
@@ -367,6 +365,8 @@ _KMAX_THERMAL = 60.0  # modes above 60/beta are suppressed below 1e-26
 
 
 def _thermal_quadrature(integrand, beta: float, what: str) -> float:
+    from scipy import integrate  # ~50 MB at import; only the oracles need it
+
     val, err = integrate.quad(
         integrand,
         0.0,

@@ -156,7 +156,7 @@ def concurrence_closed_form(coeffs: LindbladCoefficients, tau: float) -> float:
     ``k = sqrt(a^2 - b^2) = 2 gamma sqrt(n (n+1))``.  Independent of
     ``omega_eff``: the rotation is local and drops out.
     """
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError(f"tau must be non-negative, got {tau!r}")
     a = coeffs.a
     k = 2.0 * coeffs.gamma * _sqrt_n_n1(coeffs.n)

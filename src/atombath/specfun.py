@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from scipy import integrate
-
 __all__ = [
     "QuadratureError",
     "ZETA_2",
@@ -240,6 +238,8 @@ def bose_einstein_integral(s: int, x: float) -> float:
             # k^s e^(x - k) is below any representable contribution
             return 0.0
         return k ** s / math.expm1(k - x)
+
+    from scipy import integrate  # ~50 MB at import; only the oracles need it
 
     val, err = integrate.quad(
         # epsabs=0 keeps the convergence target relative, so strongly

@@ -128,6 +128,12 @@ def test_generator_preserves_trace_and_hermiticity():
         drho = gksl_generator(rho, coeffs)
         assert abs(np.trace(drho)) < 1e-13
         np.testing.assert_allclose(drho, drho.conj().T, atol=1e-13)
+    # a (..., 4, 4) stack maps state by state
+    stack = np.stack([_random_density(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+    out = gksl_generator(stack, coeffs)
+    assert out.shape == (2, 3, 4, 4)
+    for rho, drho in zip(stack.reshape(6, 4, 4), out.reshape(6, 4, 4)):
+        assert np.array_equal(drho, gksl_generator(rho, coeffs))
 
 
 def test_gibbs_times_maximally_mixed_is_stationary():
@@ -171,8 +177,9 @@ def test_closed_form_row_structure():
     assert math.hypot(u[1, 1], u[2, 1]) == pytest.approx(
         norm0 * math.exp(-0.5 * a * tau), rel=1e-13
     )
-    with pytest.raises(ValueError):
-        evolve_closed_form(u0, COEFFS, -0.1)
+    for tau in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            evolve_closed_form(u0, COEFFS, tau)
 
 
 def test_closed_form_matches_rk4():
@@ -222,21 +229,47 @@ def test_rk4_step_contract():
     dt = default_rk4_step(coeffs)
     assert dt == pytest.approx(0.01 / 40.0, rel=1e-15)
     rho = bell_state()
-    with pytest.raises(ValueError):
-        evolve_numeric(rho, coeffs, 1.0, dt=0.1 / coeffs.a)
-    with pytest.raises(ValueError):
-        evolve_numeric(rho, coeffs, -1.0)
-    # tau = 0 is the identity map
-    np.testing.assert_allclose(evolve_numeric(rho, coeffs, 0.0), rho, atol=0)
+    for tau in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau"):
+            evolve_numeric(rho, coeffs, tau)
+    # tau = 0 is the identity map, and returns a copy, not the caller's array
+    same = evolve_numeric(rho, coeffs, 0.0)
+    np.testing.assert_allclose(same, rho, atol=0)
+    assert not np.shares_memory(same, rho)
 
 
 def test_rk4_hits_tau_exactly_with_coarse_dt():
-    # n = ceil(tau/dt) shrinks the step; result must not depend on the
-    # requested dt once it is fine enough
+    # n = ceil(tau/dt) shrinks the step; one run to 0.5 and two runs to
+    # 0.17 and 0.33 take different step counts but must land on one state
     rho = bell_state()
-    a = evolve_numeric(rho, COEFFS, 0.5, dt=0.01 / COEFFS.a)
-    b = evolve_numeric(rho, COEFFS, 0.5, dt=0.0037 / COEFFS.a)
+    a = evolve_numeric(rho, COEFFS, 0.5)
+    b = evolve_numeric(evolve_numeric(rho, COEFFS, 0.17), COEFFS, 0.33)
     np.testing.assert_allclose(a, b, atol=1e-11)
+
+
+def _rk4_loop(rho, coeffs, tau, n):
+    # n explicit four-stage Runge-Kutta steps of the generator
+    rho = np.array(rho, dtype=complex)
+    h = tau / n
+    for _ in range(n):
+        k1 = gksl_generator(rho, coeffs)
+        k2 = gksl_generator(rho + 0.5 * h * k1, coeffs)
+        k3 = gksl_generator(rho + 0.5 * h * k2, coeffs)
+        k4 = gksl_generator(rho + h * k3, coeffs)
+        rho += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
+
+
+@pytest.mark.parametrize("steps", [1, 14, 553, 4000])
+def test_rk4_propagator_matches_explicit_steps(steps):
+    rng = np.random.default_rng(steps)
+    rho = _random_density(rng)
+    coeffs = _random_coeffs(rng)
+    # ceil(tau / dt) = steps, so the propagator takes exactly `steps` steps
+    tau = (steps - 0.5) * default_rk4_step(coeffs)
+    np.testing.assert_allclose(
+        evolve_numeric(rho, coeffs, tau), _rk4_loop(rho, coeffs, tau, steps), rtol=0, atol=1e-12
+    )
 
 
 def test_delta_omega_moves_coherence_phase_only():
@@ -265,6 +298,8 @@ def test_shared_state_over_a_time_grid_stacks_the_single_states():
         shared_state(COEFFS, [0.0, 1.0, -1.0, -2.0])
     with pytest.raises(ValueError, match=r"^tau must be non-negative, got -1\.0$"):
         shared_state(COEFFS, -1.0)
+    with pytest.raises(ValueError, match=r"^tau must be non-negative, got nan$"):
+        shared_state(COEFFS, math.nan)
 
 
 def test_check_density_matrix_names_the_first_bad_state():
@@ -307,6 +342,8 @@ def test_evolve_closed_form_over_a_time_grid_stacks_the_single_tensors():
         evolve_closed_form(u0, COEFFS, [0.0, -0.5, -1.0])
     with pytest.raises(ValueError, match=r"^tau must be non-negative, got -0\.1$"):
         evolve_closed_form(u0, COEFFS, -0.1)
+    with pytest.raises(ValueError, match=r"^state 2: tau must be non-negative, got nan$"):
+        evolve_closed_form(u0, COEFFS, [0.0, 1.0, math.nan])
 
 
 def test_check_bloch_tensor_names_the_first_bad_tensor():

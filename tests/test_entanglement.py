@@ -129,6 +129,9 @@ def test_closed_form_tracks_evolved_state():
     for tau in (0.0, 0.2, 0.5, 0.9, 1.5, 3.0):
         direct = concurrence(shared_state(COEFFS, tau))
         assert concurrence_closed_form(COEFFS, tau) == pytest.approx(direct, abs=1e-12)
+    for tau in (-1.0, math.nan):
+        with pytest.raises(ValueError, match=r"^tau must be non-negative"):
+            concurrence_closed_form(COEFFS, tau)
 
 
 def test_closed_form_frozen_value():
