@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration problems, 3 numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -90,6 +91,7 @@ class ScanConfig:
     oracle: bool = False
     format: str = "csv"
     output: str | None = None
+    both_couplings: bool = True  # check both couplings' rates, not only coupling's
 
     def __post_init__(self) -> None:
         if self.format not in ("csv", "json"):
@@ -111,9 +113,8 @@ class ScanConfig:
         self._check("beta_omega", lambda x: BathParams(x / self.omega))
 
     def _rates(self, omega: float, lam: float) -> None:
-        # DetectorParams checks its rates; a scan meets both couplings' rates
-        # (coeffs prints both) and the speed range's two ends
-        for coupling in Coupling:
+        # DetectorParams checks the rates the scan meets, at the speed range's two ends
+        for coupling in Coupling if self.both_couplings else (self.coupling,):
             for v in (0.0, self.v_max):
                 DetectorParams(omega, lam, v, coupling, self.v_max)
 
@@ -317,7 +318,7 @@ class _Command(NamedTuple):
     run: Callable[[ScanConfig], Iterator[list[float]]]
     cols: tuple[str, ...]
     oracle_cols: tuple[str, ...]  # appended by --oracle
-    defaults: dict = {}  # config values that replace the built-in defaults (read only)
+    defaults: dict = {}  # ScanConfig values that replace the built-in defaults (read only)
 
 
 # subcommand -> how it scans and what it prints
@@ -327,6 +328,7 @@ _COMMANDS = {
         _run_concurrence,
         ("beta_omega", "velocity", "tau_gamma0", "concurrence"),
         ("concurrence_wootters",),
+        {"both_couplings": False},  # the scan meets only coupling's rates
     ),
     "coeffs": _Command(
         "occupation numbers and rates over the scan grid",
@@ -339,6 +341,7 @@ _COMMANDS = {
         _run_death_time,
         ("beta_omega", "velocity", "death_time_gamma0"),
         ("death_time_bisection",),
+        {"both_couplings": False},
     ),
     "wightman": _Command(
         "field correlation profiles along the worldline",
@@ -352,9 +355,7 @@ _COMMANDS = {
 
 
 def _format_value(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.11e}"
+    return f"{x:.11e}"  # inf, -inf and nan print as such
 
 
 def render_csv(cols: tuple[str, ...], rows: list[list[float]]) -> str:
@@ -371,6 +372,7 @@ def render_json(cols: tuple[str, ...], rows: list[list[float]]) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atombath",

@@ -262,7 +262,8 @@ def evolve_numeric(rho0: np.ndarray, coeffs: LindbladCoefficients, tau: float) -
     return rho
 
 
-_BELL = bloch_from_density(bell_state())
+# bloch_from_density(bell_state()), exact; literal, so that import runs no eigensolve
+_BELL = np.diag([0.25, 0.25, -0.25, 0.25])
 
 
 def shared_state(coeffs: LindbladCoefficients, tau: float | np.ndarray) -> np.ndarray:

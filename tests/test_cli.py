@@ -160,6 +160,37 @@ def test_oracle_golden_reproduces(argv, golden, tmp_path):
     assert out.read_bytes() == (FIXTURES / golden).read_bytes()
 
 
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process; usage errors, --help, a config
+    # file and --oracle must leave nothing behind for the next call
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--bogus"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["death-time", "--help"])
+    assert exc.value.code == 0
+    assert main(["coeffs", "--config", str(FIXTURES / "fig1c.cfg")]) == 0
+    assert main(["concurrence", "--tau", "0:1:3", "--oracle"]) == 0
+    capsys.readouterr()
+    runs = [
+        (["concurrence", "--config", str(FIXTURES / "fig1c.cfg")], "fig1c_golden.csv"),
+        (
+            ["coeffs", "--beta-omega", "0.01,0.5,5,50", "--velocity", "0,1e-5,0.5,0.99"]
+            + ["--oracle"],
+            "coeffs_oracle_golden.csv",
+        ),
+        (
+            ["death-time", "--coupling", "td", "--beta-omega", "0.01,0.5,5,50,800"]
+            + ["--velocity", "0,1e-5,0.5,0.99", "--oracle", "--format", "json"],
+            "death_time_td_golden.json",
+        ),
+    ]
+    for argv, golden in runs:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (FIXTURES / golden).read_text()
+
+
 def test_json_matches_csv_values(capsys):
     args = [
         "coeffs",
@@ -321,6 +352,26 @@ def test_exit_two_where_a_rate_leaves_the_floats(argv, key, capsys):
 def test_rates_near_the_ends_of_the_floats_still_scan(argv, capsys):
     rows = _csv_rows(argv, capsys)
     assert rows and all(math.isfinite(float(x)) for r in rows for x in r.split(","))
+
+
+@pytest.mark.parametrize(
+    "argv", [["concurrence", "--tau", "0:1:2", "--oracle"], ["death-time", "--oracle"]]
+)
+def test_scans_of_one_coupling_check_only_its_rates(argv, capsys):
+    # the td rates (~omega^3) underflow at omega = 1e-120, but these scans
+    # meet only the monopole's, and their rate unit (1.6e-121) is normal
+    argv = argv + ["--coupling", "udw"]
+    rows = _csv_rows(argv + ["--omega", "1e-120"], capsys)
+    assert rows and all(math.isfinite(float(x)) for r in rows for x in r.split(","))
+    # in gamma_0 units the rows do not depend on omega
+    for row, ref in zip(rows, _csv_rows(argv + ["--omega", "1"], capsys), strict=True):
+        assert [float(x) for x in row.split(",")] == pytest.approx(
+            [float(x) for x in ref.split(",")], rel=1e-9, abs=1e-12
+        )
+    # a td scan of the same omega meets the td rates, and stops there
+    assert main(argv + ["--omega", "1e-120", "--coupling", "td"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: omega: ") and captured.out == ""
 
 
 def test_exit_two_on_unwritable_output(tmp_path, capsys):

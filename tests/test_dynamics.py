@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from atombath import dynamics
 from atombath.coefficients import LindbladCoefficients
 from atombath.dynamics import (
     PAULI,
@@ -59,6 +60,8 @@ def test_bell_state_tensor():
     # normalized so every component lives in [-1/4, 1/4]; exact, since
     # every evolved pair starts from this tensor
     assert np.array_equal(u, np.diag([0.25, 0.25, -0.25, 0.25]))
+    # shared_state starts from a literal copy of this tensor
+    assert np.array_equal(dynamics._BELL, bloch_from_density(bell_state()))
     # rank one and pure
     np.testing.assert_allclose(rho @ rho, rho, atol=1e-15)
 
