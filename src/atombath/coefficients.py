@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .specfun import QuadratureError, bose_head_ratio, bose_window
+from .specfun import bose_head_ratio, bose_window, certified_quad
 
 __all__ = [
     "Coupling",
@@ -278,12 +278,13 @@ def n_udw(detector: DetectorParams, bath: BathParams) -> float:
     v = detector.velocity
     if v < SMALL_VELOCITY and b * v < _TAYLOR_BV:
         return _n_udw_taylor(b, v)
-    red, blue = doppler_shifts(v)
-    hi = b * blue
+    red, _ = doppler_shifts(v)
     lo = b * red
+    # the window width b*(blue - red) without cancelling blue - red
+    width = b * (2.0 * v) / math.sqrt(1.0 - v * v)
     # the window logarithm as one log1p: in a cold bath both
     # log(1 - e^-x) are ~ -e^-x and their difference would cancel
-    ratio = math.exp(-lo) * -math.expm1(lo - hi) / -math.expm1(-lo)
+    ratio = math.exp(-lo) * -math.expm1(-width) / -math.expm1(-lo)
     return math.sqrt(1.0 - v * v) / (2.0 * v * b) * math.log1p(ratio)
 
 
@@ -392,17 +393,12 @@ def _window_quadrature(b: float, v: float, weight_power: int) -> float:
         # 1/(e^x - 1) written with e^-x, which cannot overflow past x = 709
         return x ** weight_power * math.exp(lo - x) / -math.expm1(-x)
 
-    from scipy import integrate  # ~50 MB at import; only the oracles need it
-
-    # epsabs=0 keeps the stopping target relative, as the check below is;
-    # cold windows have values far below any fixed absolute target
-    val, err = integrate.quad(integrand, lo, b * blue, epsabs=0.0, epsrel=1e-12, limit=400)
-    if not math.isfinite(val) or err > 1e-10 * max(abs(val), 1e-280):
-        raise QuadratureError(
-            f"window quadrature for b={b}, v={v} only reached an error "
-            f"estimate of {err:.3e}"
-        )
-    return scale * val
+    # epsabs=0 keeps the stopping target relative, as the check is; cold
+    # windows have values far below any fixed absolute target
+    what = f"window quadrature for b={b}, v={v}"
+    return scale * certified_quad(
+        integrand, lo, b * blue, what, 1e-10, 1e-280, epsabs=0.0, epsrel=1e-12, limit=400
+    )
 
 
 def n_udw_quadrature(detector: DetectorParams, bath: BathParams) -> float:

@@ -195,12 +195,13 @@ def evolve_closed_form(
         u_1j, u_2j: damped at a/2, rotated by omega_eff * tau
         u_3j:       u_3j e^(-a tau) + u_0j (b/a)(1 - e^(-a tau))
 
-    Row 0 is conserved.  A scalar ``tau`` gives one 4x4 tensor, an array
-    of times a ``tau.shape + (4, 4)`` stack.
+    Row 0 is conserved.  A scalar ``tau`` (finite, non-negative) gives one
+    4x4 tensor, an array of times a ``tau.shape + (4, 4)`` stack.
     """
     u0 = check_bloch_tensor(u0)
     tau = np.asarray(tau, dtype=float)
     _reject_first(~(tau >= 0.0), lambda i: f"tau must be non-negative, got {float(tau[i])!r}")
+    _reject_first(tau == math.inf, lambda i: f"tau must be finite, got {float(tau[i])!r}")
     a, b, om = coeffs.a, coeffs.b, coeffs.omega_eff
     times = tau.ravel().tolist()
 

@@ -76,6 +76,22 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested accuracy."""
 
 
+def certified_quad(f, a, b, what: str, rtol: float, floor: float, **quad_options) -> float:
+    """``int_a^b f`` by QUADPACK, returned only if its error estimate certifies it.
+
+    Runs ``scipy.integrate.quad(f, a, b, **quad_options)`` and raises
+    :class:`QuadratureError`, naming ``what``, unless the value is finite
+    and the error estimate is at most ``rtol * max(|value|, floor)``.
+    The one place the package imports ``scipy.integrate``.
+    """
+    from scipy import integrate  # ~50 MB at import; only the oracles need it
+
+    val, err = integrate.quad(f, a, b, **quad_options)
+    if not (math.isfinite(val) and err <= rtol * max(abs(val), floor)):
+        raise QuadratureError(f"{what} only reached an error estimate of {err:.3e}")
+    return val
+
+
 def polylog(s: int, z: float) -> float:
     """Polylogarithm ``Li_s(z)`` for ``s`` in {1, 2, 3} and ``0 <= z <= 1``.
 
@@ -239,19 +255,11 @@ def bose_einstein_integral(s: int, x: float) -> float:
             return 0.0
         return k ** s / math.expm1(k - x)
 
-    from scipy import integrate  # ~50 MB at import; only the oracles need it
-
-    val, err = integrate.quad(
-        # epsabs=0 keeps the convergence target relative, so strongly
-        # suppressed integrands (x far below zero) still certify
-        integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200
-    )
+    # epsabs=0 keeps the convergence target relative, so strongly
+    # suppressed integrands (x far below zero) still certify; the check
+    # runs before the division by s!, hence the floor of 1e-300 s!
     fact = math.gamma(s + 1)
-    val /= fact
-    err /= fact
-    if not math.isfinite(val) or err > 1e-10 * max(abs(val), 1e-300):
-        raise QuadratureError(
-            f"Bose-Einstein quadrature for s={s}, x={x} only reached an "
-            f"error estimate of {err:.3e}"
-        )
-    return val
+    what = f"Bose-Einstein quadrature for s={s}, x={x}"
+    return certified_quad(
+        integrand, 0.0, math.inf, what, 1e-10, 1e-300 * fact, epsabs=0.0, epsrel=1e-12, limit=200
+    ) / fact

@@ -503,6 +503,13 @@ def test_death_time_where_n_squared_overflows(capsys):
     assert float(start[3]) == pytest.approx(1.0) and float(start[4]) == pytest.approx(1.0)
 
 
+def test_td_wightman_at_rest_where_beta_to_the_fourth_underflows(capsys):
+    argv = ["wightman", "--coupling", "td", "--beta-omega", "1e-3", "--omega", "1e80"]
+    rows = _csv_rows(argv + ["--velocity", "0", "--tau", "1:2:2"], capsys)
+    assert len(rows) == 2
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+
+
 def _csv_rows(argv, capsys):
     assert main(argv) == 0
     return capsys.readouterr().out.splitlines()[1:]

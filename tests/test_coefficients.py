@@ -227,6 +227,20 @@ def test_small_velocity_occupations_match_quadrature(b):
         assert n_td(dt, bath) == pytest.approx(n_td_quadrature(dt, bath), rel=1e-10, abs=0)
 
 
+@pytest.mark.parametrize(
+    "b, v, reference",
+    [
+        # 60-digit mpmath values of the closed form at these double inputs
+        (0.01, 1e-4, 99.500833165281944718),
+        (1.0, 1.1e-4, 0.58197670531704561699),
+        (25.0, 1.1e-4, 1.3887959269205623002e-11),
+    ],
+)
+def test_udw_occupation_just_above_the_taylor_branch(b, v, reference):
+    # the window width b*(blue - red) used to come from two nearly equal edges
+    assert n_udw(_detector(v), BathParams(beta=b)) == pytest.approx(reference, rel=2e-14, abs=0)
+
+
 def test_frozen_occupation_values():
     # window-quadrature oracle numbers, frozen
     bath = BathParams(beta=1.0)

@@ -159,6 +159,29 @@ def test_moving_matches_quadrature():
                 assert w.imag == ref.imag
 
 
+def test_moving_quadrature_is_continuous_in_the_speed():
+    # the static mode sum at the boosted separation: no 1/v, no v = 0 branch
+    bath = BathParams(beta=1.0)
+    rest = wightman_moving_quadrature(2.0, _detector(0.0), bath)
+    assert rest == wightman_static_quadrature(CorrelationQuery(s=2.0, beta=1.0))
+    slow = wightman_moving_quadrature(2.0, _detector(2e-6), bath)
+    assert slow.real == pytest.approx(rest.real, rel=0, abs=1e-15)
+
+
+def test_static_branch_in_a_bath_whose_beta_powers_underflow():
+    # 4 beta^2 underflows at beta = 1e-170 and beta^4 at 1e-100; at s = 1
+    # the thermal parts are their power tails, the exponentials long gone
+    s, d = 1.0, _detector(0.0)
+    beta = 1e-170
+    vac = vacuum_wightman(s, 1e-3 * beta)
+    thermal = wightman_moving(s, d, BathParams(beta=beta)) - vac
+    assert thermal == pytest.approx(1.0 / (FOUR_PI2 * s * s), rel=1e-15, abs=0)
+    for beta in (1e-100, 1e-200):
+        vac = 3.0 / (2.0 * math.pi ** 2 * complex(s, -1e-3 * beta) ** 4)
+        thermal = wightman_derivative(s, d, BathParams(beta=beta)) - vac
+        assert thermal == pytest.approx(-3.0 / (2.0 * math.pi ** 2 * s ** 4), rel=1e-15, abs=0)
+
+
 def test_frozen_values():
     d = _detector(0.5)
     bath = BathParams(beta=1.0)

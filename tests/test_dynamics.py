@@ -305,6 +305,15 @@ def test_shared_state_over_a_time_grid_stacks_the_single_states():
         shared_state(COEFFS, math.nan)
 
 
+@pytest.mark.parametrize("omega_eff", [1.3, 0.0])
+def test_shared_state_rejects_an_infinite_tau(omega_eff):
+    coeffs = LindbladCoefficients(gamma=1.0, n=0.5, omega_eff=omega_eff)
+    with pytest.raises(ValueError, match=r"^tau must be finite, got inf$"):
+        shared_state(coeffs, math.inf)
+    with pytest.raises(ValueError, match=r"^state 1: tau must be finite, got inf$"):
+        shared_state(coeffs, [0.5, math.inf])
+
+
 def test_check_density_matrix_names_the_first_bad_state():
     good = shared_state(COEFFS, np.linspace(0.0, 3.0, 5))
     assert np.array_equal(check_density_matrix(good), good)
