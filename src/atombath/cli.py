@@ -306,7 +306,7 @@ def _run_wightman(cfg: ScanConfig):
     for bw, v, bath, det in _blocks(cfg):
         for s in grid:
             w = closed(s, det, bath, cfg.epsilon)
-            row = [bw, v, s, w.real, w.imag]
+            row = [bw, v, s, w.real, w.imag + 0.0]  # + 0.0: no -0 at the pole
             if cfg.oracle:
                 w = oracle(s, det, bath, cfg.epsilon)
                 row += [w.real, w.imag]

@@ -71,7 +71,7 @@ _BLOCH_TOL = 1e-9
 
 
 class PositivityWarning(UserWarning):
-    """Numerically evolved state acquired a noticeably negative eigenvalue."""
+    """Numerically evolved state went negative, or off in trace or Hermiticity."""
 
 
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -237,9 +237,11 @@ def evolve_numeric(rho0: np.ndarray, coeffs: LindbladCoefficients, tau: float) -
     truncation error near the roundoff floor.  The generator ``L`` is
     linear and constant, so one step is the 16x16 matrix
     ``P(hL) = I + hL(I + hL(I + hL(I + hL/4)/3)/2)`` and ``n`` steps are
-    its ``n``-th power.  A final eigenvalue check emits
-    :class:`PositivityWarning` if roundoff has pushed the state further
-    than 1e-8 below zero.
+    its ``n``-th power.  A final check emits :class:`PositivityWarning`
+    if roundoff has pushed the state further than 1e-8 below zero, or
+    its trace or Hermiticity past the 1e-12 that
+    :func:`check_density_matrix` allows; the trace drifts by ~1.6e-17
+    per step, so this fires from ~6e4 steps on.
     """
     rho = check_density_matrix(rho0)
     if not 0.0 <= tau < math.inf:
@@ -253,10 +255,13 @@ def evolve_numeric(rho0: np.ndarray, coeffs: LindbladCoefficients, tau: float) -
     step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
     rho = (np.linalg.matrix_power(step, n) @ rho.ravel()).reshape(4, 4)
     low = np.linalg.eigvalsh(rho).min()
-    if low < -1e-8:
+    drift = abs(rho.trace() - 1.0)
+    herm = np.abs(rho - rho.conj().T).max()
+    if low < -1e-8 or drift > _TRACE_TOL or herm > _HERM_TOL:
         warnings.warn(
-            f"integrated state has eigenvalue {low:.3e}; accumulated "
-            "roundoff exceeds the expected floor",
+            f"integrated state has eigenvalue {low:.3e}, trace error {drift:.3e} "
+            f"and Hermiticity error {herm:.3e}; accumulated roundoff exceeds "
+            "the expected floor",
             PositivityWarning,
             stacklevel=2,
         )

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from atombath.coefficients import BathParams, DetectorParams
+from atombath.coefficients import BathParams, DetectorParams, doppler_shifts
 from atombath.correlations import (
     MARKOV_MIN_TEMP_RATIO,
     CorrelationQuery,
@@ -22,6 +22,8 @@ from atombath.correlations import (
     wightman_static,
     wightman_static_quadrature,
 )
+
+from make_reference import reference
 
 FOUR_PI2 = 4.0 * math.pi ** 2
 
@@ -180,6 +182,57 @@ def test_static_branch_in_a_bath_whose_beta_powers_underflow():
         vac = 3.0 / (2.0 * math.pi ** 2 * complex(s, -1e-3 * beta) ** 4)
         thermal = wightman_derivative(s, d, BathParams(beta=beta)) - vac
         assert thermal == pytest.approx(-3.0 / (2.0 * math.pi ** 2 * s ** 4), rel=1e-15, abs=0)
+
+
+def test_coincidence_image_term_where_4_beta_squared_underflows():
+    # 4 beta^2 underflows at beta = 1e-170; the image term is finite from
+    # pi s/beta ~ 37 on, where csch^2 is its exponential tail
+    beta = 1e-170
+    x = 40.0
+    s = x * beta / math.pi
+    assert wightman_coincidence(s, beta) == pytest.approx(-((math.exp(-x) / beta) ** 2), rel=1e-14)
+    # at s = 1 it is gone, and the thermal correction is its power tail
+    assert 1.0 / FOUR_PI2 + wightman_coincidence(1.0, beta) == 1.0 / FOUR_PI2
+
+
+def _thermal_part(coupling, s, detector, bath):
+    # the closed form minus its vacuum kernel
+    eps = 1e-3 * bath.beta
+    if coupling == "udw":
+        return wightman_moving(s, detector, bath) - vacuum_wightman(s, eps)
+    vac = 3.0 / (2.0 * math.pi ** 2 * complex(s, -eps) ** 4)
+    return wightman_derivative(s, detector, bath) - vac
+
+
+def test_static_derivative_series_at_its_radius():
+    # pi s/beta = 0.099, just inside the series radius, where a table cut
+    # one order short was 7.7e-8 off
+    for beta, v, s, value in reference("td_static_thermal"):
+        assert math.pi * s / beta == pytest.approx(0.099, rel=1e-15)
+        th = _thermal_part("td", s, _detector(v), BathParams(beta=beta))
+        assert th.real == pytest.approx(value, rel=1e-9)
+
+
+@pytest.mark.parametrize("coupling, rel", [("udw", 1e-10), ("td", 2e-8)])
+def test_moving_pair_is_continuous_across_each_terms_series_switch(coupling, rel):
+    # each Doppler term switches to its series where |pi shift s/beta|
+    # crosses 0.1; both sides of every switch match the exact value, so
+    # the switch moves the thermal part by no more than 2 rel.  The td
+    # tolerance is the closed form's own cancellation just outside the
+    # radius at v = 0.01 (7.7e-9)
+    rows = reference(f"{coupling}_pair_thermal")
+    assert {v for _, v, _, _ in rows} == {0.01, 0.5, 0.99}
+    for (beta, v, s_in, inside), (_, _, s_out, outside) in zip(rows[::2], rows[1::2]):
+        red, blue = doppler_shifts(v)
+        assert any(
+            abs(math.pi * d * s_in / beta) < 0.1 <= abs(math.pi * d * s_out / beta)
+            for d in (red, blue)
+        )
+        bath, d = BathParams(beta=beta), _detector(v)
+        a = _thermal_part(coupling, s_in, d, bath).real
+        b = _thermal_part(coupling, s_out, d, bath).real
+        assert a == pytest.approx(inside, rel=rel)
+        assert b == pytest.approx(outside, rel=rel)
 
 
 def test_frozen_values():

@@ -11,6 +11,7 @@ from atombath.coefficients import LindbladCoefficients
 from atombath.dynamics import (
     PAULI,
     PAULI_PAIR,
+    PositivityWarning,
     bell_state,
     bloch_from_density,
     check_bloch_tensor,
@@ -273,6 +274,18 @@ def test_rk4_propagator_matches_explicit_steps(steps):
     np.testing.assert_allclose(
         evolve_numeric(rho, coeffs, tau), _rk4_loop(rho, coeffs, tau, steps), rtol=0, atol=1e-12
     )
+
+
+def test_rk4_warns_when_its_trace_drifts_past_the_state_check():
+    # roundoff moves the trace ~1.6e-17 per step: 3.2e-12 after the 2e5
+    # steps of tau = 1e3, past the 1e-12 check_density_matrix allows
+    with pytest.warns(PositivityWarning, match="trace error"):
+        rho = evolve_numeric(bell_state(), COEFFS, 1e3)
+    with pytest.raises(ValueError, match="trace must be 1"):
+        check_density_matrix(rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_density_matrix(evolve_numeric(bell_state(), COEFFS, 10.0))
 
 
 def test_delta_omega_moves_coherence_phase_only():
