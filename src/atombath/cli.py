@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -233,9 +234,22 @@ def _parse_config_values(text: str) -> dict:
 
 
 def emit_config(cfg: ScanConfig) -> str:
-    """Render a config back to text; ``parse_config`` round-trips it."""
-    values = {key: getattr(cfg, key) for key in _KEYS}
-    return "".join(f"{k} = {_KEYS[k][1](x)}\n" for k, x in values.items() if x is not None)
+    """Render a config back to text; ``parse_config`` round-trips it.
+
+    A value that would not survive the trip is a :class:`ConfigError`
+    naming its key: one holding ``#`` (a comment) or a line break, or one
+    with leading or trailing whitespace (stripped on parsing).
+    """
+    lines = []
+    for key, (_, emit, _, _) in _KEYS.items():
+        value = getattr(cfg, key)
+        if value is None:
+            continue
+        text = emit(value)
+        if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+            raise ConfigError(f"{key}: {text!r} cannot be written to a config file")
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)
 
 
 def _grid(spec: tuple[float, float, int]) -> list[float]:
@@ -354,22 +368,34 @@ _COMMANDS = {
 }
 
 
-def _format_value(x: float) -> str:
-    return f"{x:.11e}"  # inf, -inf and nan print as such
+# the text json writes for the non-finite values: inf as a string, nan as NaN
+_JSON_NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": "NaN"}
 
 
 def render_csv(cols: tuple[str, ...], rows: list[list[float]]) -> str:
-    lines = [",".join(cols)] + [",".join(map(_format_value, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    """A header line, then one line per row of ``%.11e`` values.
+
+    The whole table is one ``%`` of one row template, repeated per row.
+    """
+    template = ",".join(["%.11e"] * len(cols)) + "\n"
+    return ",".join(cols) + "\n" + template * len(rows) % tuple(chain.from_iterable(rows))
 
 
 def render_json(cols: tuple[str, ...], rows: list[list[float]]) -> str:
-    def value(x: float):
-        text = _format_value(x)
-        return text if math.isinf(x) else float(text)
+    """The text of ``json.dumps(table, indent=2)`` for one object per row.
 
-    data = [{c: value(x) for c, x in zip(cols, row)} for row in rows]
-    return json.dumps(data, indent=2) + "\n"
+    Each float is the shortest ``repr`` of its 12-significant-digit value;
+    inf and -inf are the strings ``"inf"`` and ``"-inf"``, nan is ``NaN``.
+    ``cols`` are distinct, and every row holds one value per column.
+    """
+    if not rows:
+        return "[]\n"
+    fixed = ("%.11e " * (len(cols) * len(rows)) % tuple(chain.from_iterable(rows))).split()
+    texts = list(map(repr, map(float, fixed)))
+    values = tuple(map(_JSON_NON_FINITE.get, texts, texts))
+    keys = [json.dumps(c).replace("%", "%%") for c in cols]
+    template = "  {\n" + ",\n".join([f"    {k}: %s" for k in keys]) + "\n  }"
+    return "[\n" + ",\n".join([template] * len(rows)) % values + "\n]\n"
 
 
 @functools.cache  # one parser per process: parse_args leaves it as it was
@@ -411,7 +437,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         command = _COMMANDS[args.command]
         cols = command.cols + (command.oracle_cols if cfg.oracle else ())
-        # rows are collected first, so that rendering is timed on its own
+        # rows are collected first: a failure while computing them (exit 2
+        # or 3) must leave stdout empty
         rows = list(command.run(cfg))
         text = render_csv(cols, rows) if cfg.format == "csv" else render_json(cols, rows)
         if cfg.output is None:

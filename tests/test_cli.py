@@ -43,6 +43,19 @@ def test_emit_parse_round_trip():
     assert parse_config(emit_config(cfg)) == cfg
     # defaults survive the trip too
     assert parse_config(emit_config(ScanConfig())) == ScanConfig()
+    # only a value's ends are stripped on parsing
+    spaced = ScanConfig(output="my scan.csv")
+    assert parse_config(emit_config(spaced)) == spaced
+
+
+@pytest.mark.parametrize(
+    "output", ["out#1.csv", "a\nb.csv", "a\rb.csv", " lead.csv", "trail.csv "]
+)
+def test_emit_config_refuses_values_that_would_not_round_trip(output):
+    # "#" starts a comment, a line break ends the line, and parsing strips
+    # the value: each would read back as a different output path
+    with pytest.raises(ConfigError, match="output"):
+        emit_config(ScanConfig(output=output))
 
 
 def test_parse_config_skips_comments_and_blanks():
@@ -158,6 +171,64 @@ def test_oracle_golden_reproduces(argv, golden, tmp_path):
     out = tmp_path / "regen"
     assert main(argv + ["--oracle", "--output", str(out)]) == 0
     assert out.read_bytes() == (FIXTURES / golden).read_bytes()
+
+
+def test_wightman_json_golden_reproduces(tmp_path):
+    # 26 values that repr writes in exponent form, where its text and the
+    # %.11e text differ most
+    out = tmp_path / "regen.json"
+    argv = ["wightman", "--coupling", "td", "--beta-omega", "5,50", "--velocity", "0,0.99"]
+    assert main(argv + ["--tau", "0.1:5:13", "--format", "json", "--output", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / "wightman_td_golden.json").read_bytes()
+
+
+def _reference_csv(cols, rows):
+    lines = [",".join(cols)] + [",".join(f"{x:.11e}" for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(cols, rows):
+    def value(x):
+        text = f"{x:.11e}"
+        return text if math.isinf(x) else float(text)
+
+    data = [{c: value(x) for c, x in zip(cols, row)} for row in rows]
+    return json.dumps(data, indent=2) + "\n"
+
+
+# where repr leaves fixed notation (1e-4 / 1e-5, 1e16), the float ends,
+# signed zeros, the non-finite values and whole numbers
+_RENDER_EDGES = st.sampled_from(
+    [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]
+    + [1e-4, 9.99999999999e-5, 1.00000000001e-4, 1e-5, 9.99999999995e-5, -1e-4]
+    + [1e16, 9.999999999995e15, 1.00000000001e16, -1e16, 1e15, 1234567.0, -42.0]
+)
+_RENDER_VALUES = st.one_of(
+    _RENDER_EDGES,
+    st.floats(),
+    st.floats(min_value=1e-6, max_value=1e-3),
+    st.floats(min_value=1e15, max_value=1e17),
+    st.integers(-(10**12), 10**12).map(float),
+)
+
+
+@st.composite
+def _table(draw):
+    # any text as column names: json escapes them, and "%" must not upset
+    # a format template
+    cols = draw(st.lists(st.text(max_size=6), min_size=1, max_size=8, unique=True))
+    row = st.lists(_RENDER_VALUES, min_size=len(cols), max_size=len(cols))
+    return tuple(cols), draw(st.lists(row, max_size=50))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(table=_table())
+@example(table=(("a",), []))
+@example(table=(("x%s", "%d"), [[math.inf, -math.inf], [math.nan, -0.0]]))
+def test_renderers_match_the_per_value_reference(table):
+    cols, rows = table
+    assert cli.render_csv(cols, rows) == _reference_csv(cols, rows)
+    assert cli.render_json(cols, rows) == _reference_json(cols, rows)
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys):
