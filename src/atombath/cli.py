@@ -313,18 +313,29 @@ def _run_death_time(cfg: ScanConfig):
 
 def _run_wightman(cfg: ScanConfig):
     if cfg.coupling is Coupling.UDW:
-        closed, oracle = wightman_moving, wightman_moving_quadrature
+        closed, oracle = wightman_moving, _mode_sum_column
     else:
-        closed, oracle = wightman_derivative, wightman_derivative_fd
+        closed, oracle = wightman_derivative, _finite_difference_column
     grid = _grid(cfg.tau)
     for bw, v, bath, det in _blocks(cfg):
+        checks = oracle(grid, det, bath, cfg.epsilon) if cfg.oracle else None
         for s in grid:
             w = closed(s, det, bath, cfg.epsilon)
             row = [bw, v, s, w.real, w.imag + 0.0]  # + 0.0: no -0 at the pole
-            if cfg.oracle:
-                w = oracle(s, det, bath, cfg.epsilon)
+            if checks is not None:
+                w = next(checks)
                 row += [w.real, w.imag]
             yield row
+
+
+def _mode_sum_column(grid: list[float], det: DetectorParams, bath: BathParams, epsilon):
+    # the udw oracle of a whole (beta_omega, v) block: one vectorised call
+    return iter(wightman_moving_quadrature(np.array(grid), det, bath, epsilon).tolist())
+
+
+def _finite_difference_column(grid: list[float], det: DetectorParams, bath: BathParams, epsilon):
+    # the td oracle, point by point as the rows ask for it
+    return (wightman_derivative_fd(s, det, bath, epsilon) for s in grid)
 
 
 class _Command(NamedTuple):

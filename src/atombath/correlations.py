@@ -30,8 +30,10 @@ import sys
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coefficients import BathParams, DetectorParams, doppler_shifts
-from .specfun import BERNOULLI, certified_quad
+from .specfun import BERNOULLI, certified_gk21
 
 __all__ = [
     "PoleProximityWarning",
@@ -348,54 +350,86 @@ def wightman_derivative(
 
 _KMAX_THERMAL = 60.0  # modes above 60/beta are suppressed below 1e-26
 _TWO_PI2 = 2.0 * math.pi ** 2
+# separations per panel-kernel call: at its cap of 1000 panels, 96 x 1000
+# panels x 21 nodes x 8 B of integrand values is 16 MB, whatever the grid
+_MODE_SUM_SLICE = 96
 
 
-def _thermal_quadrature(s: float, r: float, beta: float, what: str) -> float:
-    # the spherically averaged thermal mode sum at time s and distance r,
-    # int dk cos(ks) sin(kr)/(2 pi^2 r (e^(beta k) - 1)), which is
+def _mode_sum_integrand(s, r, beta: float):
+    # the spherically averaged thermal mode sum's integrand at times s and
+    # distances r (equal-length 1-D arrays), one row per separation:
+    # cos(ks) sin(kr)/(2 pi^2 r (e^(beta k) - 1)), which is
     # [sin k(s + r) - sin k(s - r)]/(4 pi^2 r) with nothing to cancel as
     # r -> 0; at r = 0 its limit, k cos(ks)/(2 pi^2 (e^(beta k) - 1))
-    if r == 0.0:
-        def integrand(k: float) -> float:
-            return k * math.cos(k * s) / (math.expm1(beta * k) * _TWO_PI2)
-    else:
-        c = _TWO_PI2 * r
-        def integrand(k: float) -> float:
-            return math.cos(k * s) * math.sin(k * r) / (c * math.expm1(beta * k))
-    return certified_quad(
-        integrand, 0.0, _KMAX_THERMAL / beta, f"{what} quadrature", 1e-8, 1e-4,
-        epsabs=1e-13, epsrel=1e-11, limit=1000,
-    )
+    at_rest = r == 0.0
+    r_div = np.where(at_rest, 1.0, r)[:, None]
+
+    def integrand(k):
+        radial = np.sin(np.multiply.outer(r, k))
+        radial /= r_div
+        radial[at_rest] = k
+        out = np.cos(np.multiply.outer(s, k))
+        out *= radial
+        out /= _TWO_PI2 * np.expm1(beta * k)
+        return out
+
+    return integrand
+
+
+def _thermal_quadrature(s, r, beta: float, what: str):
+    # the thermal mode sum at times s and distances r, with the error
+    # estimates, by one certified panel quadrature per slice of
+    # _MODE_SUM_SLICE separations
+    parts = max(1, math.ceil(len(s) / _MODE_SUM_SLICE))
+    values, errors = [], []
+    for s_part, r_part in zip(np.array_split(s, parts), np.array_split(r, parts)):
+        val, err = certified_gk21(
+            _mode_sum_integrand(s_part, r_part, beta), 0.0, _KMAX_THERMAL / beta,
+            f"{what} quadrature", 1e-8, 1e-4,
+            epsabs=1e-13, epsrel=1e-11, limit=1000,
+        )
+        values.append(val)
+        errors.append(err)
+    return np.concatenate(values), np.concatenate(errors)
 
 
 def wightman_static_quadrature(query: CorrelationQuery) -> complex:
     """Mode-sum cross-check of :func:`wightman_static`.
 
-    Vacuum part in regularized closed form, thermal part by adaptive
-    quadrature of the Bose-weighted spherical kernel.  Intended for
-    tests: slower and, near poles, less uniform than the closed form.
+    Vacuum part in regularized closed form, thermal part by the
+    certified Gauss-Kronrod panel quadrature of the Bose-weighted
+    spherical kernel.  Intended for tests: slower and, near poles, less
+    uniform than the closed form.
     """
     s, r, beta, eps = query.s, query.r, query.beta, query.epsilon
-    return vacuum_wightman(s, eps, r) + _thermal_quadrature(s, r, beta, "static")
+    th, _ = _thermal_quadrature(np.array([s]), np.array([r]), beta, "static")
+    return vacuum_wightman(s, eps, r) + th.item()
 
 
 def wightman_moving_quadrature(
-    s: float,
+    s,
     detector: DetectorParams,
     bath: BathParams,
     epsilon: float | None = None,
-) -> complex:
+):
     """Mode-sum cross-check of :func:`wightman_moving`.
 
     The static mode sum at the separation the bath frame sees between
     two points of the worldline ``s`` apart in proper time: time
     ``gamma*s``, distance ``gamma*v*s``.  Shares no Doppler algebra with
     the closed form, and holds at every speed, ``v = 0`` included.
+
+    ``s`` is a float, which gives a complex, or a 1-D array, which gives
+    a complex array: the whole array is integrated on shared panel
+    meshes, so a value's last digits may move, within its certified
+    error estimate, with the other separations beside it.
     """
     eps = _resolve_epsilon(bath.beta, epsilon)
     g = detector.lorentz_gamma
-    th = _thermal_quadrature(g * s, g * detector.velocity * s, bath.beta, "moving")
-    return vacuum_wightman(s, eps) + th
+    sep = np.atleast_1d(np.asarray(s, dtype=float))
+    th, _ = _thermal_quadrature(g * sep, g * detector.velocity * sep, bath.beta, "moving")
+    w = [vacuum_wightman(x, eps) + t for x, t in zip(sep.tolist(), th.tolist())]
+    return np.array(w, dtype=complex) if np.ndim(s) else w[0]
 
 
 def wightman_derivative_fd(

@@ -22,12 +22,20 @@ arguments in ``[0, 1]`` through the defining power series
 summed with Kahan compensation, plus the closed form
 ``Li_1(z) = -log(1 - z)``.  An independent quadrature route through the
 Bose-Einstein integral is provided for cross-checking the series.
+
+The package's quadrature oracles run on one of two engines here, with
+one acceptance rule (:func:`certify`): QUADPACK through scipy
+(:func:`certified_quad`), and a numpy Gauss-Kronrod-21 panel kernel
+(:func:`certified_gk21`) that integrates many integrands on one shared,
+adaptively bisected mesh.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 __all__ = [
     "QuadratureError",
@@ -76,20 +84,122 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested accuracy."""
 
 
-def certified_quad(f, a, b, what: str, rtol: float, floor: float, **quad_options) -> float:
-    """``int_a^b f`` by QUADPACK, returned only if its error estimate certifies it.
+def certify(value, error, what: str, rtol: float, floor: float):
+    """``value`` if its error estimate certifies it, for a float or an array.
 
-    Runs ``scipy.integrate.quad(f, a, b, **quad_options)`` and raises
-    :class:`QuadratureError`, naming ``what``, unless the value is finite
-    and the error estimate is at most ``rtol * max(|value|, floor)``.
-    The one place the package imports ``scipy.integrate``.
+    Every component must be finite with an error estimate of at most
+    ``rtol * max(|value|, floor)``; otherwise :class:`QuadratureError`
+    names ``what`` and the first failing component's estimate.  The one
+    acceptance rule of both quadrature engines below.
+    """
+    ok = np.isfinite(value) & (error <= rtol * np.maximum(np.abs(value), floor))
+    if not np.all(ok):
+        err = np.extract(~ok, error)[0]
+        raise QuadratureError(f"{what} only reached an error estimate of {err:.3e}")
+    return value
+
+
+def certified_quad(f, a, b, what: str, rtol: float, floor: float, **quad_options) -> float:
+    """``int_a^b f`` by QUADPACK, returned only if :func:`certify` accepts it.
+
+    Runs ``scipy.integrate.quad(f, a, b, **quad_options)``.  The one place
+    the package imports ``scipy.integrate``.
     """
     from scipy import integrate  # ~50 MB at import; only the oracles need it
 
     val, err = integrate.quad(f, a, b, **quad_options)
-    if not (math.isfinite(val) and err <= rtol * max(abs(val), floor)):
-        raise QuadratureError(f"{what} only reached an error estimate of {err:.3e}")
-    return val
+    return certify(val, err, what, rtol, floor)
+
+
+# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (qk21), on its 11
+# nodes x >= 0 from the outside in: the Kronrod weights, and the 10-point
+# Gauss weights, which sit on every other node and are 0 on the rest
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980222731, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651673, 0.0,
+])
+# the 21 nodes in ascending order, and each rule's weights on them
+_GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_GK_KRONROD, _GK_GAUSS = (np.concatenate([w, w[-2::-1]]) for w in (_WGK, _WG))
+_EPS = np.finfo(float).eps
+
+
+def _gk21(f, lo, hi):
+    # each component's integral and QUADPACK error estimate on each panel
+    # [lo, hi]: arrays (components, panels), and the round-off floor that
+    # bisection cannot lower
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
+    fx = f(x.ravel()).reshape(-1, len(lo), len(_GK_NODES))
+    kronrod = fx @ _GK_KRONROD
+    resabs = np.abs(fx) @ _GK_KRONROD * half
+    resasc = np.abs(fx - 0.5 * kronrod[..., None]) @ _GK_KRONROD * half
+    diff = np.abs(kronrod - fx @ _GK_GAUSS) * half
+    scaled = resasc * np.minimum(1.0, 200.0 * diff / np.where(resasc > 0.0, resasc, 1.0)) ** 1.5
+    noise = 50.0 * _EPS * resabs
+    return kronrod * half, np.maximum(np.where(resasc > 0.0, scaled, diff), noise), noise
+
+
+def certified_gk21(f, a, b, what, rtol, floor, *, epsabs, epsrel, limit):
+    """Integrals of many integrands over ``[a, b]`` on one shared panel mesh.
+
+    ``f`` maps a 1-D array of nodes to a ``(components, nodes)`` array.
+    Starting from the one panel ``[a, b]``, every panel whose
+    Gauss-Kronrod-21 error estimate (QUADPACK's heuristic) exceeds, for
+    some component still short of ``max(epsabs, epsrel * |value|)``, that
+    target over the panel count is bisected, the worst first, while the
+    mesh holds at most ``limit`` panels; a panel at its round-off floor
+    is not.  Returns each component's value and summed error estimate,
+    the values only if :func:`certify` accepts them all.
+    """
+    lo, hi = np.array([float(a)]), np.array([float(b)])
+    # non-finite values and estimates are left to certify, which rejects them
+    with np.errstate(all="ignore"):
+        val, err, noise = _gk21(f, lo, hi)
+        while True:
+            total, error = val.sum(axis=1), err.sum(axis=1)
+            target = np.maximum(epsabs, epsrel * np.abs(total))
+            short = error > target
+            room = limit - len(lo)
+            if not (short.any() and room):
+                break
+            # bisect every panel above its share of a short component's
+            # target, the target over the panel count, unless it sits at its
+            # round-off floor, where bisection cannot lower its error
+            score = (np.where(err > noise, err, 0.0)[short] / target[short, None]).max(axis=0)
+            split = np.flatnonzero(score > 1.0 / len(lo))
+            if len(split) > room:
+                split = np.sort(np.argsort(score)[-room:])
+            if not len(split):
+                break
+            keep = np.ones(len(lo), bool)
+            keep[split] = False
+            mid = 0.5 * (lo[split] + hi[split])
+            halves = _gk21(f, np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]))
+            lo = np.concatenate([lo[keep], lo[split], mid])
+            hi = np.concatenate([hi[keep], mid, hi[split]])
+            val, err, noise = (
+                np.concatenate([old[:, keep], part], axis=1)
+                for old, part in zip((val, err, noise), halves)
+            )
+    return certify(total, error, what, rtol, floor), error
 
 
 def polylog(s: int, z: float) -> float:

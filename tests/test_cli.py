@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import warnings
@@ -356,6 +358,45 @@ def test_argparse_rejects_unknown_flags():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([])  # a subcommand is required
+
+
+def test_wightman_oracle_certifies_the_default_grid_at_beta_omega_0_0625(capsys):
+    # QUADPACK warned of round-off on this grid, 1.05e-13 off the closed form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["wightman", "--beta-omega", "0.0625", "--oracle"]) == 0
+    rows = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",", skiprows=1)
+    assert rows.shape == (90, 7)
+    assert np.abs(rows[:, 5:] - rows[:, 3:5]).max() <= 1e-12
+
+
+def test_uncertified_wightman_oracle_block_exits_three(capsys):
+    # ~3e4 periods of cos(ks) under the Bose weight: 1000 panels of 21 nodes
+    # cannot certify it
+    argv = ["wightman", "--coupling", "udw", "--beta-omega", "1e-3", "--velocity", "0.5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--tau", "0.1:3:3", "--oracle"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numerical failure: moving quadrature only reached an error estimate" in err
+
+
+def test_wightman_oracle_runs_without_scipy_integrate():
+    code = (
+        "import contextlib, io, sys\n"
+        "from atombath.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['wightman', '--coupling', 'udw', '--oracle']) == 0\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_exit_three_on_numerical_failure(monkeypatch, capsys):

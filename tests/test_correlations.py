@@ -3,9 +3,14 @@
 import cmath
 import math
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from atombath import correlations
 from atombath.coefficients import BathParams, DetectorParams, doppler_shifts
 from atombath.correlations import (
     MARKOV_MIN_TEMP_RATIO,
@@ -168,6 +173,59 @@ def test_moving_quadrature_is_continuous_in_the_speed():
     assert rest == wightman_static_quadrature(CorrelationQuery(s=2.0, beta=1.0))
     slow = wightman_moving_quadrature(2.0, _detector(2e-6), bath)
     assert slow.real == pytest.approx(rest.real, rel=0, abs=1e-15)
+
+
+# one (beta, v) block of separations, each 0.05 to 2 thermal times long
+_BLOCK = dict(
+    beta=st.floats(0.25, 4.0),
+    v=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+    fractions=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=12),
+)
+
+
+def _block_mode_sum(beta, v, fractions):
+    # the moving oracle's thermal part over the block, with error estimates
+    g = _detector(v).lorentz_gamma
+    s = np.array(fractions) * beta
+    return correlations._thermal_quadrature(g * s, g * v * s, beta, "moving")
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(**_BLOCK)
+def test_block_mode_sum_agrees_with_point_calls_within_their_estimates(beta, v, fractions):
+    values, errors = _block_mode_sum(beta, v, fractions)
+    for i in range(len(fractions)):
+        value, error = _block_mode_sum(beta, v, fractions[i : i + 1])
+        assert abs(values[i] - value[0]) <= errors[i] + error[0]
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(slice_length=st.integers(1, 5), **_BLOCK)
+def test_slicing_a_block_moves_no_value_beyond_its_estimates(slice_length, beta, v, fractions):
+    values, errors = _block_mode_sum(beta, v, fractions)
+    with mock.patch.object(correlations, "_MODE_SUM_SLICE", slice_length):
+        sliced, sliced_errors = _block_mode_sum(beta, v, fractions)
+    assert np.all(np.abs(values - sliced) <= errors + sliced_errors)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(**_BLOCK)
+def test_block_oracle_has_the_closed_forms_imaginary_part(beta, v, fractions):
+    bath, d = BathParams(beta=beta), _detector(v)
+    s = np.array(fractions) * beta
+    block = wightman_moving_quadrature(s, d, bath)
+    assert block.shape == s.shape and block.dtype == complex
+    assert block.imag.tolist() == [wightman_moving(x, d, bath).imag for x in s.tolist()]
+    assert np.all(np.abs(block.real - [wightman_moving(x, d, bath).real for x in s.tolist()]) < 1e-10)
+
+
+def test_moving_quadrature_of_a_float_is_a_complex_and_of_an_array_an_array():
+    bath, d = BathParams(beta=1.0), _detector(0.5)
+    w = wightman_moving_quadrature(0.7, d, bath)
+    assert type(w) is complex
+    assert wightman_moving_quadrature(np.array([0.7]), d, bath).tolist() == [w]
+    empty = wightman_moving_quadrature(np.array([]), d, bath)
+    assert empty.shape == (0,) and empty.dtype == complex
 
 
 def test_static_branch_in_a_bath_whose_beta_powers_underflow():

@@ -6,6 +6,7 @@ arithmetic before being locked in here.
 
 import math
 
+import numpy as np
 import pytest
 
 from atombath.specfun import (
@@ -16,6 +17,8 @@ from atombath.specfun import (
     bose_head_ratio,
     bose_tail,
     bose_window,
+    certified_gk21,
+    certify,
     polylog,
 )
 
@@ -134,6 +137,65 @@ def test_bose_einstein_integral_domain_errors():
 
 def test_quadrature_error_is_runtime_error():
     assert issubclass(QuadratureError, RuntimeError)
+
+
+def test_certify_rejects_a_nan_component_and_one_past_its_bound():
+    values, errors = np.array([1.0, -2e-9]), np.array([1e-8, 1e-12])
+    assert certify(values, errors, "probe", 1e-8, 1e-4) is values
+    assert certify(0.5, 5e-9, "probe", 1e-8, 1e-4) == 0.5
+    with pytest.raises(QuadratureError, match="probe only reached an error estimate of 1.000e-15"):
+        certify(np.array([1.0, np.nan]), np.array([1e-9, 1e-15]), "probe", 1e-8, 1e-4)
+    # below the floor 1e-4 the bound is 1e-8 * 1e-4 = 1e-12 absolute
+    with pytest.raises(QuadratureError, match="2.000e-12"):
+        certify(np.array([1.0, 1e-6]), np.array([0.0, 2e-12]), "probe", 1e-8, 1e-4)
+    with pytest.raises(QuadratureError, match="1.100e-08"):
+        certify(-1.0, 1.1e-8, "probe", 1e-8, 1e-4)
+    with pytest.raises(QuadratureError):
+        certify(1.0, math.nan, "probe", 1e-8, 1e-4)
+
+
+@pytest.mark.parametrize("b", [20.0, 5.0, 2.0, 0.5])
+def test_one_gauss_kronrod_panel_is_quadpacks_qk21(b):
+    # QUADPACK stopped after its first panel returns qk21's value and
+    # error estimate as they are
+    from scipy.integrate import quad
+
+    def f(k):
+        return math.cos(3.0 * k) * k / math.expm1(0.7 * k)
+
+    ref, ref_err, _, _ = quad(f, 0.0, b, limit=1, full_output=1)
+    val, err = certified_gk21(
+        lambda k: (np.cos(3.0 * k) * k / np.expm1(0.7 * k))[None], 0.0, b, "probe", math.inf, 1.0,
+        epsabs=1e-13, epsrel=1e-11, limit=1,
+    )
+    assert val[0] == pytest.approx(ref, rel=1e-14, abs=0)
+    assert err[0] == pytest.approx(ref_err, rel=1e-8, abs=0)
+
+
+def test_gauss_kronrod_panels_integrate_many_components_on_one_mesh():
+    # int_0^1 x^n dx = 1/(n + 1) and int_0^pi sin(m x) dx = (1 - cos(m pi))/m
+    n = np.arange(40.0)
+    val, err = certified_gk21(
+        lambda x: x ** n[:, None], 0.0, 1.0, "powers", 1e-8, 1e-4,
+        epsabs=1e-13, epsrel=1e-11, limit=1000,
+    )
+    assert np.all(np.abs(val - 1.0 / (n + 1.0)) <= err)
+    assert np.all(err <= np.maximum(1e-13, 1e-11 * val))
+    m = np.arange(1.0, 60.0)
+    val, err = certified_gk21(
+        lambda x: np.sin(np.multiply.outer(m, x)), 0.0, math.pi, "sines", 1e-8, 1e-4,
+        epsabs=1e-13, epsrel=1e-11, limit=1000,
+    )
+    assert np.all(np.abs(val - (1.0 - np.cos(m * math.pi)) / m) <= err + 1e-15)
+
+
+def test_gauss_kronrod_panels_stop_at_the_limit_and_refuse_to_certify():
+    # 480 periods do not fit in 16 panels of 21 nodes
+    with pytest.raises(QuadratureError, match="fast cosine only reached"):
+        certified_gk21(
+            lambda x: np.cos(3000.3 * x)[None] + 1.0, 0.0, 1.0, "fast cosine", 1e-8, 1e-4,
+            epsabs=1e-13, epsrel=1e-11, limit=16,
+        )
 
 
 def test_polylog_subnormal_argument_terminates():
