@@ -61,7 +61,6 @@ from .entanglement import (
 )
 from .specfun import (
     QuadratureError,
-    bose_einstein_integral,
     bose_tail,
     bose_window,
     polylog,
@@ -82,7 +81,6 @@ __all__ = [
     "XState",
     "bell_state",
     "bloch_from_density",
-    "bose_einstein_integral",
     "bose_tail",
     "bose_window",
     "check_density_matrix",

@@ -10,9 +10,11 @@ over the Doppler interval ``[omega*red, omega*blue]`` with
     red  = sqrt((1 - v)/(1 + v)),   blue = sqrt((1 + v)/(1 - v)),
 
 weighted uniformly for monopole (amplitude) coupling and by the cube of
-the mode frequency for proper-time-derivative coupling.  The
-spontaneous rate picks up its own kinematic factor but stays
-temperature independent.
+the mode frequency for derivative coupling.  The cubic weighting gives
+the rates of the bath-frame time-derivative correlator, not of the
+proper-time derivative that :func:`atombath.correlations.wightman_derivative`
+returns (ROADMAP.md, item 13).  The spontaneous rate picks up its own
+kinematic factor but stays temperature independent.
 
 Everything here is expressed in natural units (``hbar = c = k_B = 1``);
 temperatures enter only through the dimensionless product
@@ -26,7 +28,9 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .specfun import bose_head_ratio, bose_window, certified_quad
+import numpy as np
+
+from .specfun import bose_head_ratio, bose_window, certified_gk21
 
 __all__ = [
     "Coupling",
@@ -43,8 +47,6 @@ __all__ = [
     "rate_unit",
     "n_udw",
     "n_td",
-    "n_udw_high_temp",
-    "n_udw_low_temp",
     "lindblad_coefficients",
     "n_udw_quadrature",
     "n_td_quadrature",
@@ -331,44 +333,6 @@ def n_td(detector: DetectorParams, bath: BathParams) -> float:
     return pref * bose_window(b * red, b * blue) / b / b / b
 
 
-def n_udw_high_temp(detector: DetectorParams, bath: BathParams) -> float:
-    """Leading high-temperature form of :func:`n_udw`.
-
-    For ``b = beta*omega -> 0`` the window-average logarithm tends to
-    ``log(blue/red) = 2 artanh(v)``, leaving
-
-        sqrt(1 - v^2) * artanh(v) / (v * b).
-
-    Good to about 1% already at ``b = 0.01`` for moderate speeds.
-    """
-    b = _beta_omega(detector, bath)
-    v = detector.velocity
-    if v == 0.0:
-        return 1.0 / b
-    return math.sqrt(1.0 - v * v) * math.atanh(v) / (v * b)
-
-
-def n_udw_low_temp(detector: DetectorParams, bath: BathParams) -> float:
-    """Leading low-temperature form of :func:`n_udw`.
-
-    Keeping the first term of the fugacity expansion of the window
-    logarithm gives
-
-        sqrt(1 - v^2)/(2 v b) * (e^(-b*red) - e^(-b*blue)),
-
-    dominated by the red-shifted edge of the window: motion through a
-    cold bath raises the occupation above the Planck value because the
-    softened modes astern are easier to absorb.  Reduces to ``e^-b`` as
-    ``v -> 0``.
-    """
-    b = _beta_omega(detector, bath)
-    v = detector.velocity
-    red, _ = doppler_shifts(v)
-    # the difference as e^(-b red) (1 - e^(-b w))/(b w), w = blue - red
-    bw = b * (2.0 * v) / math.sqrt(1.0 - v * v)  # 0 at v = 0, where the quotient tends to 1
-    return math.exp(-b * red) * (-math.expm1(-bw) / bw if bw else 1.0)
-
-
 def lindblad_coefficients(detector: DetectorParams, bath: BathParams) -> LindbladCoefficients:
     """Bundle the rates for the detector's coupling into one object."""
     if detector.coupling is Coupling.UDW:
@@ -389,16 +353,17 @@ def _window_quadrature(b: float, v: float, weight_power: int) -> float:
     if scale == 0.0:
         return 0.0
 
-    def integrand(x: float) -> float:
+    def integrand(x):
         # 1/(e^x - 1) written with e^-x, which cannot overflow past x = 709
-        return x ** weight_power * math.exp(lo - x) / -math.expm1(-x)
+        return (x ** weight_power * np.exp(lo - x) / -np.expm1(-x))[None]
 
     # epsabs=0 keeps the stopping target relative, as the check is; cold
     # windows have values far below any fixed absolute target
     what = f"window quadrature for b={b}, v={v}"
-    return scale * certified_quad(
+    val, _ = certified_gk21(
         integrand, lo, b * blue, what, 1e-10, 1e-280, epsabs=0.0, epsrel=1e-12, limit=400
     )
+    return scale * float(val[0])
 
 
 def n_udw_quadrature(detector: DetectorParams, bath: BathParams) -> float:

@@ -20,14 +20,12 @@ arguments in ``[0, 1]`` through the defining power series
     Li_s(z) = sum_{k >= 1} z^k / k^s
 
 summed with Kahan compensation, plus the closed form
-``Li_1(z) = -log(1 - z)``.  An independent quadrature route through the
-Bose-Einstein integral is provided for cross-checking the series.
+``Li_1(z) = -log(1 - z)``.
 
-The package's quadrature oracles run on one of two engines here, with
-one acceptance rule (:func:`certify`): QUADPACK through scipy
-(:func:`certified_quad`), and a numpy Gauss-Kronrod-21 panel kernel
-(:func:`certified_gk21`) that integrates many integrands on one shared,
-adaptively bisected mesh.
+The package's quadrature oracles all run on one engine here: a numpy
+Gauss-Kronrod-21 panel kernel (:func:`certified_gk21`) that integrates
+many integrands on one shared, adaptively bisected mesh, with one
+acceptance rule (:func:`certify`).
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ __all__ = [
     "bose_tail",
     "bose_window",
     "bose_head_ratio",
-    "bose_einstein_integral",
 ]
 
 ZETA_2 = math.pi ** 2 / 6.0
@@ -90,25 +87,13 @@ def certify(value, error, what: str, rtol: float, floor: float):
     Every component must be finite with an error estimate of at most
     ``rtol * max(|value|, floor)``; otherwise :class:`QuadratureError`
     names ``what`` and the first failing component's estimate.  The one
-    acceptance rule of both quadrature engines below.
+    acceptance rule of the quadrature oracles.
     """
     ok = np.isfinite(value) & (error <= rtol * np.maximum(np.abs(value), floor))
     if not np.all(ok):
         err = np.extract(~ok, error)[0]
         raise QuadratureError(f"{what} only reached an error estimate of {err:.3e}")
     return value
-
-
-def certified_quad(f, a, b, what: str, rtol: float, floor: float, **quad_options) -> float:
-    """``int_a^b f`` by QUADPACK, returned only if :func:`certify` accepts it.
-
-    Runs ``scipy.integrate.quad(f, a, b, **quad_options)``.  The one place
-    the package imports ``scipy.integrate``.
-    """
-    from scipy import integrate  # ~50 MB at import; only the oracles need it
-
-    val, err = integrate.quad(f, a, b, **quad_options)
-    return certify(val, err, what, rtol, floor)
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (qk21), on its 11
@@ -340,36 +325,3 @@ def bose_window(lo: float, hi: float) -> float:
         return _debye3_head(hi) - _debye3_head(lo)
     return (2.0 * ZETA_3 - _debye3_tail(hi)) - _debye3_head(lo)
 
-
-def bose_einstein_integral(s: int, x: float) -> float:
-    """Bose-Einstein integral ``(1/s!) int_0^inf k^s / (e^(k-x) - 1) dk``.
-
-    Equals ``Li_{s+1}(e^x)`` for ``x <= 0``, which makes it an
-    independent quadrature cross-check of :func:`polylog`.  Supported for
-    ``s`` in {1, 2} and ``x <= 0``; relative accuracy 1e-10.
-
-    Raises
-    ------
-    QuadratureError
-        If the adaptive quadrature does not converge; the message
-        carries the achieved error estimate.
-    """
-    if s not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {s!r}")
-    if x > 0.0:
-        raise ValueError(f"fugacity exponent must satisfy x <= 0, got {x!r}")
-
-    def integrand(k: float) -> float:
-        if k - x > 700.0:
-            # k^s e^(x - k) is below any representable contribution
-            return 0.0
-        return k ** s / math.expm1(k - x)
-
-    # epsabs=0 keeps the convergence target relative, so strongly
-    # suppressed integrands (x far below zero) still certify; the check
-    # runs before the division by s!, hence the floor of 1e-300 s!
-    fact = math.gamma(s + 1)
-    what = f"Bose-Einstein quadrature for s={s}, x={x}"
-    return certified_quad(
-        integrand, 0.0, math.inf, what, 1e-10, 1e-300 * fact, epsabs=0.0, epsrel=1e-12, limit=200
-    ) / fact

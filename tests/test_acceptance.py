@@ -18,7 +18,6 @@ from atombath.coefficients import (
     lindblad_coefficients,
     n_td,
     n_udw,
-    n_udw_high_temp,
     planck_occupation,
 )
 from atombath.correlations import (
@@ -36,8 +35,9 @@ from atombath.entanglement import (
     sudden_death_time,
     sudden_death_time_bisection,
 )
-from atombath.specfun import ZETA_2, ZETA_3, bose_einstein_integral, bose_tail, polylog
+from atombath.specfun import ZETA_2, ZETA_3, bose_tail, polylog
 
+from oracles import bose_einstein_integral, n_udw_high_temp
 from xstates import random_xstate
 
 FIXTURES = Path(__file__).parent / "fixtures"

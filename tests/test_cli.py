@@ -382,13 +382,19 @@ def test_uncertified_wightman_oracle_block_exits_three(capsys):
     assert "numerical failure: moving quadrature only reached an error estimate" in err
 
 
-def test_wightman_oracle_runs_without_scipy_integrate():
+@pytest.mark.parametrize(
+    "command",
+    [["concurrence"], ["coeffs"], ["death-time"], ["wightman", "--coupling", "udw"],
+     ["wightman", "--coupling", "td"]],
+    ids=["concurrence", "coeffs", "death-time", "wightman-udw", "wightman-td"],
+)
+def test_oracle_runs_without_scipy(command):
     code = (
         "import contextlib, io, sys\n"
         "from atombath.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['wightman', '--coupling', 'udw', '--oracle']) == 0\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        f"    assert main({command + ['--oracle']!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -396,7 +402,7 @@ def test_wightman_oracle_runs_without_scipy_integrate():
         [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True,
         timeout=120,
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_exit_three_on_numerical_failure(monkeypatch, capsys):

