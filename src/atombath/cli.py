@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration problems, 3 numerical failures.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -320,12 +321,18 @@ def _run_wightman(cfg: ScanConfig):
     for bw, v, bath, det in _blocks(cfg):
         checks = oracle(grid, det, bath, cfg.epsilon) if cfg.oracle else None
         for s in grid:
-            w = closed(s, det, bath, cfg.epsilon)
+            w = _finite(closed(s, det, bath, cfg.epsilon), bw, v, s)
             row = [bw, v, s, w.real, w.imag + 0.0]  # + 0.0: no -0 at the pole
             if checks is not None:
-                w = next(checks)
+                w = _finite(next(checks), bw, v, s)
                 row += [w.real, w.imag]
             yield row
+
+
+def _finite(w: complex, bw: float, v: float, s: float) -> complex:
+    if not cmath.isfinite(w):  # a numerical failure (exit 3), never a printed row
+        raise ArithmeticError(f"W = {w!r} is not finite at beta_omega={bw!r}, v={v!r}, s={s!r}")
+    return w
 
 
 def _mode_sum_column(grid: list[float], det: DetectorParams, bath: BathParams, epsilon):

@@ -72,7 +72,9 @@ class Coupling(Enum):
     """How the two-level system couples to the scalar field."""
 
     UDW = "udw"  # monopole coupling to the field amplitude
-    DERIVATIVE = "td"  # coupling to the proper-time derivative of the field
+    # coupling to a time derivative of the field: the rates are the bath-frame
+    # derivative's, wightman_derivative the proper-time one's (ROADMAP.md, item 13)
+    DERIVATIVE = "td"
 
 
 @dataclass(frozen=True)
@@ -344,14 +346,15 @@ def lindblad_coefficients(detector: DetectorParams, bath: BathParams) -> Lindbla
     return LindbladCoefficients(gamma=gamma, n=n, omega_eff=detector.omega)
 
 
-def _window_quadrature(b: float, v: float, weight_power: int) -> float:
+def _window_quadrature(b: float, v: float, weight_power: int) -> tuple[float, float]:
     red, blue = doppler_shifts(v)
     lo = b * red
     # e^-lo is taken out of the integrand, which then keeps its red-edge size
-    # however cold the bath; where e^-lo underflows, so does the window
+    # however cold the bath, and returned apart: callers apply it last, so a
+    # subnormal n is not flushed to 0; where e^-lo underflows, so does the window
     scale = math.exp(-lo)
     if scale == 0.0:
-        return 0.0
+        return 0.0, 0.0
 
     def integrand(x):
         # 1/(e^x - 1) written with e^-x, which cannot overflow past x = 709
@@ -363,7 +366,7 @@ def _window_quadrature(b: float, v: float, weight_power: int) -> float:
     val, _ = certified_gk21(
         integrand, lo, b * blue, what, 1e-10, 1e-280, epsabs=0.0, epsrel=1e-12, limit=400
     )
-    return scale * float(val[0])
+    return scale, float(val[0])
 
 
 def n_udw_quadrature(detector: DetectorParams, bath: BathParams) -> float:
@@ -372,7 +375,8 @@ def n_udw_quadrature(detector: DetectorParams, bath: BathParams) -> float:
     v = detector.velocity
     if v == 0.0:
         return planck_occupation(b)
-    return math.sqrt(1.0 - v * v) / (2.0 * v * b) * _window_quadrature(b, v, 0)
+    scale, val = _window_quadrature(b, v, 0)
+    return math.sqrt(1.0 - v * v) / (2.0 * v * b) * val * scale
 
 
 def n_td_quadrature(detector: DetectorParams, bath: BathParams) -> float:
@@ -381,6 +385,6 @@ def n_td_quadrature(detector: DetectorParams, bath: BathParams) -> float:
     v = detector.velocity
     if v == 0.0:
         return planck_occupation(b)
-    val = _window_quadrature(b, v, 2)
+    scale, val = _window_quadrature(b, v, 2)
     gm2 = 1.0 - v * v
-    return 3.0 * gm2 * math.sqrt(gm2) / (2.0 * v * (3.0 + v * v)) * val / b / b / b
+    return 3.0 * gm2 * math.sqrt(gm2) / (2.0 * v * (3.0 + v * v)) * val / b / b / b * scale

@@ -89,6 +89,8 @@ def test_config_validation():
         ScanConfig(tau=(0.0, 5.0, 1))
     with pytest.raises(ConfigError, match="format"):
         ScanConfig(format="yaml")
+    with pytest.raises(ConfigError, match=r"^velocity needs at least one value"):
+        ScanConfig(velocity=())
 
 
 # --- precedence ----------------------------------------------------------------
@@ -344,6 +346,11 @@ def test_exit_two_on_config_problems(tmp_path, capsys):
     capsys.readouterr()
     assert main(["concurrence", "--beta-omega", "0,1"]) == 2
     assert "beta_omega" in capsys.readouterr().err
+    assert main(["concurrence", "--tau", "0:1:2.5"]) == 2
+    assert capsys.readouterr().err.startswith("error: tau steps must be an integer")
+    bad.write_text("# ok\nbeta_omega 1.0\n")
+    assert main(["concurrence", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: expected key = value")
 
 
 def test_exit_two_on_oversized_regulator(capsys):
@@ -412,6 +419,26 @@ def test_exit_three_on_numerical_failure(monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "coeffs", cli._COMMANDS["coeffs"]._replace(run=blow_up))
     assert main(["coeffs"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # (s - i eps)^2 overflows at s = 5e299, and at eps = 1e-3 beta = 1e297
+        ["wightman", "--tau", "0:1e300:3"],
+        ["wightman", "--beta-omega", "1e300", "--velocity", "0.5", "--tau", "1:2:2"],
+        # y^2 csch^2 y forms inf * 0
+        ["wightman", "--coupling", "td", "--beta-omega", "1e-300", "--velocity", "0.5",
+         "--tau", "1:2:2"],
+    ],
+)
+def test_exit_three_where_the_correlator_is_not_finite(argv, capsys):
+    # a nan correlator is a numerical failure, never a printed row
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PoleProximityWarning)
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: ") and captured.out == ""
 
 
 @pytest.mark.parametrize(

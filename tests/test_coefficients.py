@@ -115,6 +115,8 @@ def test_doppler_shifts_reciprocal():
     red, blue = doppler_shifts(0.6)
     assert red == pytest.approx(0.5, rel=1e-15)
     assert blue == pytest.approx(2.0, rel=1e-15)
+    with pytest.raises(ValueError, match=r"^velocity must lie in \[0, 1\)"):
+        doppler_shifts(1.0)
 
 
 def test_doppler_window_full_factors():
@@ -200,8 +202,7 @@ def test_occupations_match_window_quadrature():
 
 def test_window_quadratures_match_quadpack():
     # the panel kernel against QUADPACK on the same scaled integrand, with the
-    # same prefactors: 40 beta_omega x 10 v x both weights; in the coldest
-    # narrow windows both underflow to 0
+    # same prefactors and e^-lo applied last: 40 beta_omega x 10 v x both weights
     from scipy.integrate import quad
 
     for b in np.geomspace(1e-8, 740.0, 40).tolist():
@@ -215,16 +216,35 @@ def test_window_quadratures_match_quadpack():
                     lambda x: x ** k * math.exp(lo - x) / -math.expm1(-x), lo, b * blue,
                     epsabs=0.0, epsrel=1e-12, limit=400,
                 )
-                windows.append(math.exp(-lo) * val)
+                windows.append(val)
             gm2 = 1.0 - v * v
+            scale = math.exp(-lo)
             for oracle, expected in (
-                (n_udw_quadrature(_detector(v), bath), math.sqrt(gm2) / (2.0 * v * b) * windows[0]),
+                (
+                    n_udw_quadrature(_detector(v), bath),
+                    math.sqrt(gm2) / (2.0 * v * b) * windows[0] * scale,
+                ),
                 (
                     n_td_quadrature(_detector(v, Coupling.DERIVATIVE), bath),
-                    3.0 * gm2 * math.sqrt(gm2) / (2.0 * v * (3.0 + v * v)) * windows[1] / b / b / b,
+                    3.0 * gm2 * math.sqrt(gm2) / (2.0 * v * (3.0 + v * v)) * windows[1] / b / b / b
+                    * scale,
                 ),
             ):
                 assert abs(oracle - expected) <= 1e-14 * expected, (b, v)
+
+
+@pytest.mark.parametrize("v", [1e-8, 1e-6])
+def test_window_quadratures_keep_a_subnormal_occupation(v):
+    # n is 4.2e-322 here: e^-lo must come after the 1/(2 v b) prefactor, or
+    # e^-lo times the window's width flushes to 0
+    bath = BathParams(beta=740.0)
+    for coupling, closed, oracle in (
+        (Coupling.UDW, n_udw, n_udw_quadrature),
+        (Coupling.DERIVATIVE, n_td, n_td_quadrature),
+    ):
+        det = _detector(v, coupling)
+        assert closed(det, bath) > 0.0
+        assert abs(oracle(det, bath) - closed(det, bath)) <= 2 * math.ulp(0.0), coupling
 
 
 def test_taylor_branch_meets_direct_formula():

@@ -108,6 +108,8 @@ def test_thermal_sin_transform_small_argument_series():
         p = frac * p_seam
         closed = math.pi / (2.0 * beta) / math.tanh(math.pi * p / beta) - 1.0 / (2.0 * p)
         assert thermal_sin_transform(p, beta) == pytest.approx(closed, rel=1e-11)
+    with pytest.raises(ValueError, match=r"^beta must be positive"):
+        thermal_sin_transform(p, 0.0)
 
 
 def test_thermal_sin_transform_takes_a_complex_argument():
@@ -253,13 +255,13 @@ def test_coincidence_image_term_where_4_beta_squared_underflows():
     assert 1.0 / FOUR_PI2 + wightman_coincidence(1.0, beta) == 1.0 / FOUR_PI2
 
 
-def _thermal_part(coupling, s, detector, bath):
+def _thermal_part(coupling, s, detector, bath, epsilon=None):
     # the closed form minus its vacuum kernel
-    eps = 1e-3 * bath.beta
+    eps = 1e-3 * bath.beta if epsilon is None else epsilon
     if coupling == "udw":
-        return wightman_moving(s, detector, bath) - vacuum_wightman(s, eps)
+        return wightman_moving(s, detector, bath, eps) - vacuum_wightman(s, eps)
     vac = 3.0 / (2.0 * math.pi ** 2 * complex(s, -eps) ** 4)
-    return wightman_derivative(s, detector, bath) - vac
+    return wightman_derivative(s, detector, bath, eps) - vac
 
 
 def test_static_derivative_series_at_its_radius():
@@ -291,6 +293,26 @@ def test_moving_pair_is_continuous_across_each_terms_series_switch(coupling, rel
         b = _thermal_part(coupling, s_out, d, bath).real
         assert a == pytest.approx(inside, rel=rel)
         assert b == pytest.approx(outside, rel=rel)
+
+
+@pytest.mark.parametrize("coupling, rel", [("udw", 1e-10), ("td", 1e-8)])
+@pytest.mark.parametrize("v", [0.0, 0.5, 0.9])
+def test_pole_shifted_terms_are_continuous_across_the_series_radius(coupling, rel, v):
+    # at s = 0 the separation is -i eps, so the term of Doppler factor d
+    # leaves its series where pi d eps/beta crosses 0.1 and takes the complex
+    # hyperbolic closed form; td's tolerance is W's rounding over W - vac
+    bath, det = BathParams(beta=1.0), _detector(v)
+    red, blue = doppler_shifts(v)
+    switches = [1.0] if v == 0.0 else [d for d in (red, blue) if math.pi * d > 1.0]
+    assert switches
+    for d in switches:
+        eps = 0.1 / (math.pi * d)
+        with pytest.warns(PoleProximityWarning):
+            inside = _thermal_part(coupling, 0.0, det, bath, eps * (1.0 - 1e-9))
+        with pytest.warns(PoleProximityWarning):
+            outside = _thermal_part(coupling, 0.0, det, bath, eps * (1.0 + 1e-9))
+        assert outside.real == pytest.approx(inside.real, rel=rel), d
+        assert inside.real > 0.0
 
 
 def test_frozen_values():

@@ -108,6 +108,8 @@ def test_xstate_validation():
     with pytest.raises(ValueError):
         # coherence above the positivity bound sqrt(d1 d4)
         XState(d1=0.25, d2=0.25, d3=0.25, d4=0.25, a14=0.3 + 0j)
+    with pytest.raises(ValueError, match=r"^inner coherence"):
+        XState(d1=0.25, d2=0.25, d3=0.25, d4=0.25, a23=0.3 + 0j)
 
 
 def test_from_matrix_rejects_stray_entries():
