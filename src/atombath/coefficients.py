@@ -194,14 +194,14 @@ def doppler_shifts(velocity: float) -> tuple[float, float]:
 def doppler_window(bath: BathParams, velocity: float) -> tuple[float, float]:
     """Extreme apparent temperatures across the sky of a moving observer.
 
-    A source dead ahead is blue-shifted by the full relativistic Doppler
-    factor ``(1 + v)/(1 - v) = blue**2``, one dead astern red-shifted by
-    its inverse, so the isotropic bath at temperature ``T`` spans
-    apparent temperatures ``(T red**2, T blue**2)``.
+    A mode arriving at angle ``theta`` to the motion shows the isotropic
+    bath at ``T/(gamma (1 - v cos theta))``, which runs from ``T red``
+    dead astern to ``T blue`` dead ahead: ``(T red, T blue)``, the same
+    window the occupations average over.
     """
     red, blue = doppler_shifts(velocity)
     t = bath.temperature
-    return t * red * red, t * blue * blue
+    return t * red, t * blue
 
 
 def _planck(b: float) -> tuple[float, float, float]:
@@ -346,9 +346,13 @@ def lindblad_coefficients(detector: DetectorParams, bath: BathParams) -> Lindbla
     return LindbladCoefficients(gamma=gamma, n=n, omega_eff=detector.omega)
 
 
-def _window_quadrature(b: float, v: float, weight_power: int) -> tuple[float, float]:
-    red, blue = doppler_shifts(v)
+def _window_mean(b: float, v: float, power: int) -> tuple[float, float]:
+    # the mean of (x/b)^power P(x) over the Doppler window, x = lo + w t for
+    # t in [0, 1]: the width w = b*(blue - red) is taken whole, so no rounded
+    # edge difference is divided by v, and at v = 0 the window is its one point
+    red, _ = doppler_shifts(v)
     lo = b * red
+    w = b * (2.0 * v) / math.sqrt(1.0 - v * v)
     # e^-lo is taken out of the integrand, which then keeps its red-edge size
     # however cold the bath, and returned apart: callers apply it last, so a
     # subnormal n is not flushed to 0; where e^-lo underflows, so does the window
@@ -356,35 +360,28 @@ def _window_quadrature(b: float, v: float, weight_power: int) -> tuple[float, fl
     if scale == 0.0:
         return 0.0, 0.0
 
-    def integrand(x):
+    def integrand(t):
+        x = lo + w * t
         # 1/(e^x - 1) written with e^-x, which cannot overflow past x = 709
-        return (x ** weight_power * np.exp(lo - x) / -np.expm1(-x))[None]
+        return ((x / b) ** power * np.exp(lo - x) / -np.expm1(-x))[None]
 
     # epsabs=0 keeps the stopping target relative, as the check is; cold
     # windows have values far below any fixed absolute target
     what = f"window quadrature for b={b}, v={v}"
     val, _ = certified_gk21(
-        integrand, lo, b * blue, what, 1e-10, 1e-280, epsabs=0.0, epsrel=1e-12, limit=400
+        integrand, 0.0, 1.0, what, 1e-10, 1e-280, epsabs=0.0, epsrel=1e-12, limit=400
     )
     return scale, float(val[0])
 
 
 def n_udw_quadrature(detector: DetectorParams, bath: BathParams) -> float:
-    """Brute-force cross-check of :func:`n_udw` by direct window quadrature."""
-    b = _beta_omega(detector, bath)
-    v = detector.velocity
-    if v == 0.0:
-        return planck_occupation(b)
-    scale, val = _window_quadrature(b, v, 0)
-    return math.sqrt(1.0 - v * v) / (2.0 * v * b) * val * scale
+    """Brute-force cross-check of :func:`n_udw`: the window mean by quadrature."""
+    scale, val = _window_mean(_beta_omega(detector, bath), detector.velocity, 0)
+    return val * scale
 
 
 def n_td_quadrature(detector: DetectorParams, bath: BathParams) -> float:
-    """Brute-force cross-check of :func:`n_td` by direct window quadrature."""
-    b = _beta_omega(detector, bath)
+    """Brute-force cross-check of :func:`n_td`: the cubic-weighted window mean by quadrature."""
     v = detector.velocity
-    if v == 0.0:
-        return planck_occupation(b)
-    scale, val = _window_quadrature(b, v, 2)
-    gm2 = 1.0 - v * v
-    return 3.0 * gm2 * math.sqrt(gm2) / (2.0 * v * (3.0 + v * v)) * val / b / b / b * scale
+    scale, val = _window_mean(_beta_omega(detector, bath), v, 2)
+    return 3.0 * (1.0 - v * v) / (3.0 + v * v) * val * scale

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import BathParams, DetectorParams, doppler_shifts
+from .coefficients import BathParams, DetectorParams, doppler_shifts, doppler_window
 from .specfun import BERNOULLI, certified_gk21
 
 __all__ = [
@@ -468,8 +468,7 @@ def markov_diagnostic(detector: DetectorParams, bath: BathParams) -> MarkovDiagn
     receding one, so validity is flagged when even the red-shifted
     temperature stays above ``MARKOV_MIN_TEMP_RATIO`` times the gap.
     """
-    red, _ = doppler_shifts(detector.velocity)
-    t_red = bath.temperature * red
+    t_red, _ = doppler_window(bath, detector.velocity)
     return MarkovDiagnostic(
         correlation_time=bath.beta,
         redshifted_temperature=t_red,

@@ -20,7 +20,10 @@ the value to 40 significant digits:
   where the small-speed coefficient c2 of n_udw = P + c2 v^2 changes sign;
 - ``monopole_crossover``: the beta*omega at which n_udw at speed v equals
   the Planck occupation, so the monopole death time equals its value at
-  rest.
+  rest;
+- ``occupation_udw``, ``occupation_td``: the mean occupations n_udw and
+  n_td at beta = beta*omega (omega = 1) and v = 1e-5, the slow rows of
+  ``fixtures/coeffs_oracle_golden.csv``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ _COLUMNS = ("name", "beta", "velocity", "s", "value")
 
 _SWITCH_SPEEDS = (0.01, 0.5, 0.99)
 _CROSSOVER_SPEEDS = (1e-3, 0.01, 0.05, 0.1, 0.5, 0.9)
+_OCCUPATION_BETAS = (0.01, 0.5, 5.0, 50.0)
+_OCCUPATION_SPEED = 1e-5
 
 
 def reference(name: str) -> list[tuple[float, float, float, float]]:
@@ -94,6 +99,17 @@ def _rows(mp):
     for v in _CROSSOVER_SPEEDS:
         root = mp.findroot(excess(v), (2 * x_c, 2 * x_c + v))
         yield "monopole_crossover", math.nan, v, math.nan, root
+
+    v = mp.mpf(_OCCUPATION_SPEED)
+    red = mp.sqrt((1 - v) / (1 + v))
+    for beta in _OCCUPATION_BETAS:
+        b = mp.mpf(beta)
+        lo, hi = b * red, b / red
+        udw = mp.sqrt(1 - v * v) / (2 * v * b) * mp.log(mp.expm1(-hi) / mp.expm1(-lo))
+        window = mp.quad(lambda x: x ** 2 / mp.expm1(x), [lo, hi])
+        td = 3 * (1 - v * v) ** mp.mpf(1.5) / (2 * v * b ** 3 * (3 + v * v)) * window
+        yield "occupation_udw", beta, _OCCUPATION_SPEED, math.nan, udw
+        yield "occupation_td", beta, _OCCUPATION_SPEED, math.nan, td
 
 
 def main() -> int:

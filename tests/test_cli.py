@@ -686,6 +686,20 @@ def test_coeffs_oracle_in_a_frozen_bath(capsys):
         assert n_udw == n_udw_q == 0.0 and n_td == n_td_q == 0.0
 
 
+@pytest.mark.parametrize(
+    "beta_omega, velocity",
+    # the window oracle divided a rounded-away width by 2 v b: a float
+    # division by zero (exit 3), and a nan with exit 0
+    [("1e-150", "1e-300"), ("1e-300", "1e-17")],
+)
+def test_coeffs_oracle_at_a_width_that_rounds_away(beta_omega, velocity, capsys):
+    argv = ["coeffs", "--beta-omega", beta_omega, "--velocity", velocity, "--oracle"]
+    (row,) = _csv_rows(argv, capsys)
+    n_udw, n_td, _, _, n_udw_q, n_td_q = map(float, row.split(",")[2:])
+    assert n_udw_q == pytest.approx(n_udw, rel=1e-12, abs=0.0)
+    assert n_td_q == pytest.approx(n_td, rel=1e-12, abs=0.0)
+
+
 def test_coeffs_oracle_in_cold_baths_warns_nothing_and_agrees(capsys):
     # the closed forms cut n to 0 past beta_omega*red = 700, and scipy warned
     # of roundoff on the subnormal integrand at (1000, 0.3)

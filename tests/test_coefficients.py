@@ -1,6 +1,8 @@
 """Rates and occupation numbers: closed forms vs window-quadrature oracles."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from atombath.coefficients import (
     rate_unit,
 )
 from atombath.specfun import bose_window
+from make_reference import reference
 from oracles import n_udw_high_temp, n_udw_low_temp
 
 
@@ -119,11 +122,11 @@ def test_doppler_shifts_reciprocal():
         doppler_shifts(1.0)
 
 
-def test_doppler_window_full_factors():
-    # window edges carry the full (1 -+ v)/(1 +- v), not the square roots
+def test_doppler_window_spans_the_sky():
+    # T/(gamma (1 - v cos theta)) runs from T red (astern) to T blue (ahead)
     lo, hi = doppler_window(BathParams(beta=2.0), 0.6)
-    assert lo == pytest.approx(0.5 * 0.25, rel=1e-15)
-    assert hi == pytest.approx(0.5 * 4.0, rel=1e-15)
+    assert lo == pytest.approx(0.5 * 0.5, rel=1e-15)
+    assert hi == pytest.approx(0.5 * 2.0, rel=1e-15)
     lo, hi = doppler_window(BathParams(beta=1.0), 0.0)
     assert lo == hi == 1.0
 
@@ -186,48 +189,68 @@ def test_occupations_recover_planck_at_rest():
 
 
 def test_occupations_match_window_quadrature():
-    # windowed Planck averages, computed two independent ways
-    for b in (0.5, 1.0, 5.0):
+    # windowed Planck averages, computed two independent ways, down to the
+    # hottest baths and the slowest speeds: the window mean divides by no v
+    for b in (1e-300, 1e-150, 1e-20, 0.5, 1.0, 5.0):
         bath = BathParams(beta=b)
-        for v in (0.005, 0.1, 0.3, 0.7, 0.95):
+        for v in (0.0, 1e-300, 1e-17, 1e-12, 1e-5, 0.005, 0.1, 0.3, 0.7, 0.95):
             du = _detector(v)
             dt = _detector(v, Coupling.DERIVATIVE)
             assert n_udw(du, bath) == pytest.approx(
                 n_udw_quadrature(du, bath), rel=1e-10
-            )
+            ), (b, v)
             assert n_td(dt, bath) == pytest.approx(
                 n_td_quadrature(dt, bath), rel=1e-10
-            )
+            ), (b, v)
+
+
+def test_window_quadratures_at_rest_do_not_use_the_planck_helpers(monkeypatch):
+    # the v = 0 window is one point, still integrated: the oracle shares no
+    # Planck code with the closed forms it checks
+    from atombath import coefficients
+
+    expected = {b: planck_occupation(b) for b in (1e-20, 0.5, 5.0, 740.0)}
+
+    def refuse(*args):
+        raise AssertionError("the window oracle called a Planck helper")
+
+    monkeypatch.setattr(coefficients, "planck_occupation", refuse)
+    monkeypatch.setattr(coefficients, "_planck", refuse)
+    for b, p in expected.items():
+        bath = BathParams(beta=b)
+        assert n_udw_quadrature(_detector(0.0), bath) == pytest.approx(p, rel=1e-14, abs=0)
+        assert n_td_quadrature(_detector(0.0, Coupling.DERIVATIVE), bath) == pytest.approx(
+            p, rel=1e-14, abs=0
+        )
 
 
 def test_window_quadratures_match_quadpack():
-    # the panel kernel against QUADPACK on the same scaled integrand, with the
-    # same prefactors and e^-lo applied last: 40 beta_omega x 10 v x both weights
+    # the panel kernel against QUADPACK on the same scaled integrand over
+    # t in [0, 1], x = lo + w t, with the same prefactors and e^-lo applied
+    # last: 40 beta_omega x 10 v x both weights
     from scipy.integrate import quad
 
     for b in np.geomspace(1e-8, 740.0, 40).tolist():
         bath = BathParams(beta=b)
         for v in np.geomspace(1e-8, 0.99, 10).tolist():
-            red, blue = doppler_shifts(v)
+            red, _ = doppler_shifts(v)
             lo = b * red
-            windows = []
+            w = b * (2.0 * v) / math.sqrt(1.0 - v * v)
+            means = []
             for k in (0, 2):
-                val, _ = quad(
-                    lambda x: x ** k * math.exp(lo - x) / -math.expm1(-x), lo, b * blue,
-                    epsabs=0.0, epsrel=1e-12, limit=400,
-                )
-                windows.append(val)
-            gm2 = 1.0 - v * v
+
+                def f(t):
+                    x = lo + w * t
+                    return (x / b) ** k * math.exp(lo - x) / -math.expm1(-x)
+
+                val, _ = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400)
+                means.append(val)
             scale = math.exp(-lo)
             for oracle, expected in (
-                (
-                    n_udw_quadrature(_detector(v), bath),
-                    math.sqrt(gm2) / (2.0 * v * b) * windows[0] * scale,
-                ),
+                (n_udw_quadrature(_detector(v), bath), means[0] * scale),
                 (
                     n_td_quadrature(_detector(v, Coupling.DERIVATIVE), bath),
-                    3.0 * gm2 * math.sqrt(gm2) / (2.0 * v * (3.0 + v * v)) * windows[1] / b / b / b
-                    * scale,
+                    3.0 * (1.0 - v * v) / (3.0 + v * v) * means[1] * scale,
                 ),
             ):
                 assert abs(oracle - expected) <= 1e-14 * expected, (b, v)
@@ -235,7 +258,7 @@ def test_window_quadratures_match_quadpack():
 
 @pytest.mark.parametrize("v", [1e-8, 1e-6])
 def test_window_quadratures_keep_a_subnormal_occupation(v):
-    # n is 4.2e-322 here: e^-lo must come after the 1/(2 v b) prefactor, or
+    # n is 4.2e-322 here: e^-lo must come last, after the window mean, or
     # e^-lo times the window's width flushes to 0
     bath = BathParams(beta=740.0)
     for coupling, closed, oracle in (
@@ -266,8 +289,7 @@ def test_taylor_branch_meets_direct_formula():
 @pytest.mark.parametrize("b", [1e-3, 0.1, 1.0, 10.0, 30.0, 100.0, 300.0, 500.0, 700.0])
 def test_small_velocity_occupations_match_quadrature(b):
     # the v^2 Taylor branch errs by ~(b v)^4: it was taken below v = 1e-4
-    # whatever b was, 1.9e-7 off at (700, 9.9e-5).  Below v = 1e-5 the
-    # oracle's own rounded window limits cost ~1e-16/v, so the grid stops there
+    # whatever b was, 1.9e-7 off at (700, 9.9e-5)
     bath = BathParams(beta=b)
     for v in (0.0, 1e-5, 3e-5, 5e-5, 9.9e-5, 1e-4, 3e-4, 1e-3, 0.5, 0.99):
         du, dt = _detector(v), _detector(v, Coupling.DERIVATIVE)
@@ -288,6 +310,29 @@ def test_small_velocity_occupations_match_quadrature(b):
 def test_udw_occupation_just_above_the_taylor_branch(b, v, reference):
     # the window width b*(blue - red) used to come from two nearly equal edges
     assert n_udw(_detector(v), BathParams(beta=b)) == pytest.approx(reference, rel=2e-14, abs=0)
+
+
+@pytest.mark.parametrize(
+    "coupling, closed, oracle",
+    [(Coupling.UDW, n_udw, n_udw_quadrature), (Coupling.DERIVATIVE, n_td, n_td_quadrature)],
+    ids=["udw", "td"],
+)
+def test_slow_occupations_match_mpmath(coupling, closed, oracle):
+    # the v = 1e-5 rows of coeffs_oracle_golden.csv: the closed form and the
+    # window oracle both within 1e-13 of 60-digit mpmath, and the golden
+    # cells of both columns the reference's own 12-digit print
+    path = Path(__file__).parent / "fixtures" / "coeffs_oracle_golden.csv"
+    with path.open(newline="") as f:
+        golden = {(float(r["beta_omega"]), float(r["velocity"])): r for r in csv.DictReader(f)}
+    column = f"n_{coupling.value}"
+    rows = reference(f"occupation_{coupling.value}")
+    assert len(rows) == 4
+    for b, v, _, value in rows:
+        det, bath = _detector(v, coupling), BathParams(beta=b)
+        assert closed(det, bath) == pytest.approx(value, rel=1e-13, abs=0), b
+        assert oracle(det, bath) == pytest.approx(value, rel=1e-13, abs=0), b
+        row = golden[b, v]
+        assert row[column] == row[f"{column}_quadrature"] == f"{value:.11e}", b
 
 
 def test_frozen_occupation_values():
