@@ -33,6 +33,7 @@ from .coefficients import (
     DEFAULT_V_MAX,
     DetectorParams,
     LindbladCoefficients,
+    _beta_omega,
     gamma_td,
     gamma_udw,
     lindblad_coefficients,
@@ -112,7 +113,8 @@ class ScanConfig:
         self._check("velocity", lambda x: DetectorParams(1.0, 1.0, x, v_max=self.v_max))
         self._check("omega", lambda x: self._rates(x, 1.0))
         self._check("coupling_strength", lambda x: self._rates(self.omega, x))
-        self._check("beta_omega", lambda x: BathParams(x / self.omega))
+        # the occupations' own check: it also rejects a beta_omega they overflow at
+        self._check("beta_omega", lambda x: _beta_omega(BathParams(x / self.omega), self.omega))
 
     def _rates(self, omega: float, lam: float) -> None:
         # DetectorParams checks the rates the scan meets, at the speed range's two ends

@@ -252,9 +252,12 @@ def rate_unit(detector: DetectorParams) -> float:
     return detector.lam ** 2 * detector.omega ** 3 / (6.0 * math.pi)
 
 
-def _beta_omega(detector: DetectorParams, bath: BathParams) -> float:
-    if not (b := bath.beta * detector.omega) < math.inf:  # the occupations would turn to nan
-        raise ValueError(f"beta*omega overflows: beta={bath.beta!r}, omega={detector.omega!r}")
+def _beta_omega(bath: BathParams, omega: float) -> float:
+    if not (b := bath.beta * omega) < math.inf:  # the occupations would turn to nan
+        raise ValueError(f"beta*omega overflows: beta={bath.beta!r}, omega={omega!r}")
+    # the occupation ~1/b overflows where b * max < 1; float(): a numpy b would warn
+    if not float(b) * sys.float_info.max >= 1.0:
+        raise ValueError(f"beta*omega {b!r} is too small: the occupation ~1/(beta*omega) overflows")
     return b
 
 
@@ -278,7 +281,7 @@ def n_udw(detector: DetectorParams, bath: BathParams) -> float:
     (via a Taylor branch where ``v < 1e-4`` and ``b v < 3e-3``) and to 0
     as ``b -> inf``.
     """
-    b = _beta_omega(detector, bath)
+    b = _beta_omega(bath, detector.omega)
     v = detector.velocity
     if v < SMALL_VELOCITY and b * v < _TAYLOR_BV:
         return _n_udw_taylor(b, v)
@@ -289,7 +292,8 @@ def n_udw(detector: DetectorParams, bath: BathParams) -> float:
     # the window logarithm as one log1p: in a cold bath both
     # log(1 - e^-x) are ~ -e^-x and their difference would cancel
     ratio = math.exp(-lo) * -math.expm1(-width) / -math.expm1(-lo)
-    return math.sqrt(1.0 - v * v) / (2.0 * v * b) * math.log1p(ratio)
+    # b divides last: 1/(2 v b) alone overflows in a hot bath at small v
+    return math.sqrt(1.0 - v * v) / (2.0 * v) * math.log1p(ratio) / b
 
 
 def _n_td_taylor(b: float, v: float) -> float:
@@ -297,11 +301,11 @@ def _n_td_taylor(b: float, v: float) -> float:
     # second derivatives of the tail integral enter through the window
     # endpoints and the (3 + v^2) normalization contributes -4P/3
     u, p, r = _planck(b)
-    # F''(b) and F'''(b) for F(x) = int_x^inf t^2/(e^t - 1) dt; p multiplies
-    # first, so a frozen bath's p = 0 meets no overflowed b*r or r*r
-    f2 = p * b * (r - 2.0)
-    f3 = -2.0 * p + 4.0 * p * r - p * r * r * (1.0 + u)
-    d2 = -(4.0 / 3.0) * p - f2 / (2.0 * b) - f3 / 6.0
+    # d2 = -4p/3 - F''(b)/(2b) - F'''(b)/6 for F(x) = int_x^inf t^2/(e^t - 1) dt,
+    # F'' = p b (r - 2) and F''' = p (4r - 2 - r^2 (1 + u)); its terms in p alone
+    # cancel, so no multiple of p ~ 1/b overflows in a hot bath, and a frozen
+    # bath's p = 0 meets p r before any overflowed r*r
+    d2 =(p * r / 6.0) * (r * (1.0 + u) - 7.0)
     return p + d2 * v * v
 
 
@@ -319,7 +323,7 @@ def n_td(detector: DetectorParams, bath: BathParams) -> float:
     once the temperature is low, which makes it fall off faster with
     speed in the regimes of interest.
     """
-    b = _beta_omega(detector, bath)
+    b = _beta_omega(bath, detector.omega)
     v = detector.velocity
     if v < SMALL_VELOCITY and b * v < _TAYLOR_BV:
         return _n_td_taylor(b, v)
@@ -376,12 +380,12 @@ def _window_mean(b: float, v: float, power: int) -> tuple[float, float]:
 
 def n_udw_quadrature(detector: DetectorParams, bath: BathParams) -> float:
     """Brute-force cross-check of :func:`n_udw`: the window mean by quadrature."""
-    scale, val = _window_mean(_beta_omega(detector, bath), detector.velocity, 0)
+    scale, val = _window_mean(_beta_omega(bath, detector.omega), detector.velocity, 0)
     return val * scale
 
 
 def n_td_quadrature(detector: DetectorParams, bath: BathParams) -> float:
     """Brute-force cross-check of :func:`n_td`: the cubic-weighted window mean by quadrature."""
     v = detector.velocity
-    scale, val = _window_mean(_beta_omega(detector, bath), v, 2)
+    scale, val = _window_mean(_beta_omega(bath, detector.omega), v, 2)
     return 3.0 * (1.0 - v * v) / (3.0 + v * v) * val * scale

@@ -165,22 +165,41 @@ def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
     raise ValueError(f"keep must be 0 or 1, got {keep!r}")
 
 
+def _channels(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the rotation, decay and excitation parts of the generator, each still
+    # to be weighted by its entry of _weights
+    rot = _SZ @ rho - rho @ _SZ
+    down = _L_DOWN @ rho @ _L_UP - 0.5 * (_N_DOWN @ rho + rho @ _N_DOWN)
+    up = _L_UP @ rho @ _L_DOWN - 0.5 * (_N_UP @ rho + rho @ _N_UP)
+    return rot, down, up
+
+
+def _weights(coeffs: LindbladCoefficients) -> tuple[complex, float, float]:
+    # L = w_rot rot + w_down down + w_up up
+    return -0.5j * coeffs.omega_eff, coeffs.gamma * (coeffs.n + 1.0), coeffs.gamma * coeffs.n
+
+
 def gksl_generator(rho: np.ndarray, coeffs: LindbladCoefficients) -> np.ndarray:
     """Right-hand side of the master equation for one 4x4 matrix or a
     ``(..., 4, 4)`` stack of them.
 
     Coherent rotation at ``omega_eff`` about the moving qubit's z axis
     plus thermally weighted decay and excitation channels; the auxiliary
-    factor is untouched.  No state validation here: the matrix units that
-    build the RK4 step are not density matrices and the map is linear.
+    factor is untouched.  No state validation here: the map is linear,
+    and its channels are also built at import on matrix units, not states.
     """
-    rho = np.asarray(rho, dtype=complex)
-    down = coeffs.gamma * (coeffs.n + 1.0)
-    up = coeffs.gamma * coeffs.n
-    out = -0.5j * coeffs.omega_eff * (_SZ @ rho - rho @ _SZ)
-    out += down * (_L_DOWN @ rho @ _L_UP - 0.5 * (_N_DOWN @ rho + rho @ _N_DOWN))
-    out += up * (_L_UP @ rho @ _L_DOWN - 0.5 * (_N_UP @ rho + rho @ _N_UP))
+    w_rot, w_down, w_up = _weights(coeffs)
+    rot, down, up = _channels(np.asarray(rho, dtype=complex))
+    out = w_rot * rot
+    out += w_down * down
+    out += w_up * up
     return out
+
+
+_EYE16 = np.eye(16)
+# the channels as 16x16 superoperators on row-major flattened 4x4 matrices:
+# column k is the channel of the k-th matrix unit
+_S_ROT, _S_DOWN, _S_UP = (c.reshape(16, 16).T for c in _channels(_EYE16.reshape(16, 4, 4) + 0j))
 
 
 def evolve_closed_form(
@@ -235,7 +254,10 @@ def evolve_numeric(rho0: np.ndarray, coeffs: LindbladCoefficients, tau: float) -
     ``tau`` is split into ``n`` equal steps no longer than
     :func:`default_rk4_step`, so ``a*h <= 0.01`` keeps the local
     truncation error near the roundoff floor.  The generator ``L`` is
-    linear and constant, so one step is the 16x16 matrix
+    linear and constant: as a 16x16 matrix on flattened states it is the
+    rate-weighted sum of three channel superoperators (rotation, decay,
+    excitation), built once at import from :func:`gksl_generator`'s own
+    channel terms.  One step is the matrix
     ``P(hL) = I + hL(I + hL(I + hL(I + hL/4)/3)/2)`` and ``n`` steps are
     its ``n``-th power.  A final check emits :class:`PositivityWarning`
     if roundoff has pushed the state further than 1e-8 below zero, or
@@ -249,9 +271,10 @@ def evolve_numeric(rho0: np.ndarray, coeffs: LindbladCoefficients, tau: float) -
     if tau == 0.0:
         return rho.copy()
     n = max(1, math.ceil(tau / default_rk4_step(coeffs)))
-    eye = np.eye(16)
-    # column k of hl is h L of the k-th matrix unit, both flattened row-major
-    hl = (tau / n) * gksl_generator(eye.reshape(16, 4, 4), coeffs).reshape(16, 16).T
+    # h L as a 16x16 matrix, weighted as gksl_generator weights its channels
+    w_rot, w_down, w_up = _weights(coeffs)
+    hl = (tau / n) * (w_rot * _S_ROT + w_down * _S_DOWN + w_up * _S_UP)
+    eye = _EYE16
     step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
     rho = (np.linalg.matrix_power(step, n) @ rho.ravel()).reshape(4, 4)
     low = np.linalg.eigvalsh(rho).min()

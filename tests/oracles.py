@@ -60,7 +60,7 @@ def n_udw_high_temp(detector: DetectorParams, bath: BathParams) -> float:
 
     Good to about 1% already at ``b = 0.01`` for moderate speeds.
     """
-    b = _beta_omega(detector, bath)
+    b = _beta_omega(bath, detector.omega)
     v = detector.velocity
     if v == 0.0:
         return 1.0 / b
@@ -80,7 +80,7 @@ def n_udw_low_temp(detector: DetectorParams, bath: BathParams) -> float:
     softened modes astern are easier to absorb.  Reduces to ``e^-b`` as
     ``v -> 0``.
     """
-    b = _beta_omega(detector, bath)
+    b = _beta_omega(bath, detector.omega)
     v = detector.velocity
     red, _ = doppler_shifts(v)
     # the difference as e^(-b red) (1 - e^(-b w))/(b w), w = blue - red

@@ -579,20 +579,41 @@ def _argv(draw):
     return argv
 
 
+def _printed_cells(text):
+    # (column, value) for every cell of a CSV or JSON table
+    if text.startswith("["):
+        return [(k, float(x)) for row in json.loads(text) for k, x in row.items()]
+    head, *rows = text.splitlines()
+    return [(k, float(x)) for r in rows for k, x in zip(head.split(","), r.split(","))]
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(argv=_argv())
 @example(argv=["death-time", "--coupling-strength", "4.579534295400053e-15", "--oracle"])
+# an overflowing occupation printed nan and inf with exit 0
+@example(argv=["coeffs", "--beta-omega", "1e-315"])
+# n_td's v^2 Taylor branch overflowed to nan beside a finite n_udw
+@example(argv=["coeffs", "--beta-omega", "1e-308", "--velocity", "0,1e-5"])
 def test_exit_code_contract_holds_for_any_flags(argv):
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
+            with warnings.catch_warnings():
+                # wightman warns of separations inside the regulator (the
+                # default grid in a cold bath); any other warning is an error
+                if argv[0] == "wightman":
+                    warnings.simplefilter("ignore", PoleProximityWarning)
+                rc = main(argv)
     except SystemExit as exc:  # argparse's own usage errors
         assert exc.code == 2
         return
     assert rc in (0, 2, 3)
     if rc:
         assert err.getvalue() and not out.getvalue()
+        return
+    # a printed value is finite, bar the documented inf of a death time that never comes
+    for key, x in _printed_cells(out.getvalue()):
+        assert math.isfinite(x) or (x == math.inf and key.startswith("death_time")), (key, x)
 
 
 def test_output_file_and_stdout_agree(tmp_path, capsys):
@@ -730,6 +751,15 @@ def test_exit_two_where_the_tau_grid_overflows_over_the_rate_unit(flags, oracle,
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: tau: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("beta_omega", ["1e-315", "5e-324"])
+def test_exit_two_where_the_occupation_overflows(command, beta_omega, capsys):
+    # coeffs printed nan and inf rows with exit 0, or divided by zero (exit 3)
+    assert main([command, "--beta-omega", f"0.5,{beta_omega}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: beta_omega: ") and captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +424,36 @@ def test_occupations_reject_a_beta_omega_past_the_floats(occupation):
     # each factor is a valid float, their product is not
     with pytest.raises(ValueError, match=r"beta\*omega overflows"):
         occupation(_detector(0.0, omega=1e10), BathParams(beta=1e300))
+
+
+# the smallest beta*omega whose occupation ~1/(beta*omega) is a float: b * max >= 1
+_HOTTEST = math.nextafter(1.0 / sys.float_info.max, 1.0)
+
+
+@pytest.mark.parametrize(
+    "occupation",
+    [n_udw, n_td, n_udw_high_temp, n_udw_low_temp, n_udw_quadrature, n_td_quadrature,
+     lindblad_coefficients],
+)
+@pytest.mark.parametrize("b", [math.nextafter(_HOTTEST, 0.0), 1e-315, 5e-324])
+def test_occupations_reject_a_beta_omega_whose_occupation_overflows(occupation, b):
+    # the occupations printed nan (v = 0) and inf, or divided by zero
+    with pytest.raises(ValueError, match=r"occupation ~1/\(beta\*omega\) overflows"):
+        occupation(_detector(0.0), BathParams(beta=b))
+
+
+@pytest.mark.parametrize("v", [0.0, 1e-5, 9.9e-5, 1e-4, 1e-3, 0.1, 0.5, 0.99])
+def test_occupations_are_finite_down_to_the_hottest_bath(v):
+    # b n tends to its b -> 0 limit: n_td's Taylor branch formed 4p past
+    # the floats (nan), n_udw's closed form 1/(2 v b) (inf).  b is subnormal,
+    # and so is the window width 2 v b at v = 1e-4, which keeps ~11 digits
+    bath = BathParams(beta=_HOTTEST)
+    limit_udw = math.sqrt(1.0 - v * v) * (math.atanh(v) / v if v else 1.0)
+    limit_td = 3.0 * math.sqrt(1.0 - v * v) / (3.0 + v * v)
+    assert _HOTTEST * n_udw(_detector(v), bath) == pytest.approx(limit_udw, rel=1e-11)
+    assert _HOTTEST * n_td(_detector(v, Coupling.DERIVATIVE), bath) == pytest.approx(
+        limit_td, rel=1e-11
+    )
 
 
 def test_lindblad_coefficients_dispatch():

@@ -1,5 +1,6 @@
 """Master-equation evolution: closed form vs RK4, invariants, fixed points."""
 
+import dataclasses
 import math
 import warnings
 
@@ -264,16 +265,42 @@ def _rk4_loop(rho, coeffs, tau, n):
     return rho
 
 
-@pytest.mark.parametrize("steps", [1, 14, 553, 4000])
-def test_rk4_propagator_matches_explicit_steps(steps):
+@pytest.mark.parametrize(
+    "steps, absent",
+    [pytest.param(steps, None, id=str(steps)) for steps in (1, 14, 553, 4000)]
+    # one channel switched off: no excitation at n = 0, no rotation at omega_eff = 0
+    + [pytest.param(14, key, id=f"14-{key}=0") for key in ("n", "omega_eff")],
+)
+def test_rk4_propagator_matches_explicit_steps(steps, absent):
     rng = np.random.default_rng(steps)
     rho = _random_density(rng)
     coeffs = _random_coeffs(rng)
+    if absent is not None:
+        coeffs = dataclasses.replace(coeffs, **{absent: 0.0})
     # ceil(tau / dt) = steps, so the propagator takes exactly `steps` steps
     tau = (steps - 0.5) * default_rk4_step(coeffs)
     np.testing.assert_allclose(
         evolve_numeric(rho, coeffs, tau), _rk4_loop(rho, coeffs, tau, steps), rtol=0, atol=1e-12
     )
+
+
+def test_channel_superoperators_reproduce_the_generator():
+    # the import-time 16x16 channels applied to a random stack of 4x4
+    # matrices (not states), weighted by each rate as gksl_generator weights them
+    rng = np.random.default_rng(16)
+    stack = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    flat = stack.reshape(6, 16)
+    rot, down, up = (
+        (flat @ s.T).reshape(6, 4, 4) for s in (dynamics._S_ROT, dynamics._S_DOWN, dynamics._S_UP)
+    )
+    for coeffs in (
+        _random_coeffs(rng),
+        LindbladCoefficients(gamma=1.3, n=0.0, omega_eff=2.0),
+        LindbladCoefficients(gamma=0.7, n=0.4, omega_eff=0.0),
+    ):
+        g, n = coeffs.gamma, coeffs.n
+        got = -0.5j * coeffs.omega_eff * rot + g * (n + 1.0) * down + g * n * up
+        np.testing.assert_allclose(got, gksl_generator(stack, coeffs), rtol=0, atol=1e-15)
 
 
 def test_rk4_warns_when_its_trace_drifts_past_the_state_check():
