@@ -117,10 +117,10 @@ class ScanConfig:
         self._check("beta_omega", lambda x: _beta_omega(BathParams(x / self.omega), self.omega))
 
     def _rates(self, omega: float, lam: float) -> None:
-        # DetectorParams checks the rates the scan meets, at the speed range's two ends
+        # DetectorParams checks the rates the scan meets, at v_max alone: the rate
+        # unit is the same at every speed, and gamma_td never falls as v rises
         for coupling in Coupling if self.both_couplings else (self.coupling,):
-            for v in (0.0, self.v_max):
-                DetectorParams(omega, lam, v, coupling, self.v_max)
+            DetectorParams(omega, lam, self.v_max, coupling, self.v_max)
 
     def _check(self, key: str, build) -> None:
         # the library type's own check, re-raised as a config error naming the key
@@ -423,16 +423,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atombath",
         description="Thermal relaxation and entanglement loss of a moving atom.",
+        epilog="commands:\n" + "".join(f"  {n:<13}{c.help}\n" for n, c in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        sp = sub.add_parser(name, help=command.help)
-        # defaults stay None so that only flags the user actually passed
-        # override the config file
-        sp.add_argument("--config", metavar="PATH", help="flat key = value config file")
-        for key, (_, _, metavar, help_text) in _KEYS.items():
-            kind = {"metavar": metavar} if metavar else {"action": "store_const", "const": "true"}
-            sp.add_argument("--" + key.replace("_", "-"), help=help_text, **kind)
+    parser.add_argument("command", choices=_COMMANDS, help="what to scan (see below)")
+    # defaults stay None: only flags the user passed override the config file
+    parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
+    for key, (_, _, metavar, help_text) in _KEYS.items():
+        kind = {"metavar": metavar} if metavar else {"action": "store_const", "const": "true"}
+        parser.add_argument("--" + key.replace("_", "-"), help=help_text, **kind)
     return parser
 
 

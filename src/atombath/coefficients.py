@@ -350,7 +350,7 @@ def lindblad_coefficients(detector: DetectorParams, bath: BathParams) -> Lindbla
     return LindbladCoefficients(gamma=gamma, n=n, omega_eff=detector.omega)
 
 
-def _window_mean(b: float, v: float, power: int) -> tuple[float, float]:
+def _window_mean(b: float, v: float, power: int) -> tuple[float, float, float]:
     # the mean of (x/b)^power P(x) over the Doppler window, x = lo + w t for
     # t in [0, 1]: the width w = b*(blue - red) is taken whole, so no rounded
     # edge difference is divided by v, and at v = 0 the window is its one point
@@ -362,12 +362,16 @@ def _window_mean(b: float, v: float, power: int) -> tuple[float, float]:
     # subnormal n is not flushed to 0; where e^-lo underflows, so does the window
     scale = math.exp(-lo)
     if scale == 0.0:
-        return 0.0, 0.0
+        return 0.0, 1.0, 0.0
+    # in the hottest baths the integrand ~1/lo passes the largest float: unit, the
+    # power of two just above lo (1 from lo = 0.5 up), scales it exactly before the
+    # 1/x, and callers divide it out after their prefactor, before e^-lo
+    unit = math.ldexp(1.0, min(0, math.frexp(lo)[1]))
 
     def integrand(t):
         x = lo + w * t
         # 1/(e^x - 1) written with e^-x, which cannot overflow past x = 709
-        return ((x / b) ** power * np.exp(lo - x) / -np.expm1(-x))[None]
+        return ((x / b) ** power * np.exp(lo - x) * unit / -np.expm1(-x))[None]
 
     # epsabs=0 keeps the stopping target relative, as the check is; cold
     # windows have values far below any fixed absolute target
@@ -375,17 +379,17 @@ def _window_mean(b: float, v: float, power: int) -> tuple[float, float]:
     val, _ = certified_gk21(
         integrand, 0.0, 1.0, what, 1e-10, 1e-280, epsabs=0.0, epsrel=1e-12, limit=400
     )
-    return scale, float(val[0])
+    return scale, unit, float(val[0])
 
 
 def n_udw_quadrature(detector: DetectorParams, bath: BathParams) -> float:
     """Brute-force cross-check of :func:`n_udw`: the window mean by quadrature."""
-    scale, val = _window_mean(_beta_omega(bath, detector.omega), detector.velocity, 0)
-    return val * scale
+    scale, unit, val = _window_mean(_beta_omega(bath, detector.omega), detector.velocity, 0)
+    return val / unit * scale
 
 
 def n_td_quadrature(detector: DetectorParams, bath: BathParams) -> float:
     """Brute-force cross-check of :func:`n_td`: the cubic-weighted window mean by quadrature."""
     v = detector.velocity
-    scale, val = _window_mean(_beta_omega(bath, detector.omega), v, 2)
-    return 3.0 * (1.0 - v * v) / (3.0 + v * v) * val * scale
+    scale, unit, val = _window_mean(_beta_omega(bath, detector.omega), v, 2)
+    return 3.0 * (1.0 - v * v) / (3.0 + v * v) * val / unit * scale

@@ -1,5 +1,6 @@
 """Command-line surface: config handling, determinism, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,12 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atombath import cli
 from atombath.cli import ConfigError, ScanConfig, emit_config, main, parse_config
-from atombath.coefficients import Coupling
+from atombath.coefficients import Coupling, DetectorParams
 from atombath.correlations import PoleProximityWarning
 from atombath.specfun import QuadratureError
 
@@ -367,6 +368,60 @@ def test_argparse_rejects_unknown_flags():
         main([])  # a subcommand is required
 
 
+_FLAGS = ["--config"] + ["--" + key.replace("_", "-") for key in cli._KEYS]
+
+
+def test_one_parser_declares_each_flag_once():
+    parser = cli.build_parser()
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    declared = [s for a in parser._actions for s in a.option_strings]
+    assert sorted(declared) == sorted(["-h", "--help"] + _FLAGS)
+
+
+# flag -> a command and the flag's values, chosen so that the flag changes what
+# the run prints or makes it exit 2
+_EITHER_SIDE = {
+    "--config": ("concurrence", [str(FIXTURES / "fig1c.cfg")]),
+    "--coupling": ("death-time", ["td"]),
+    "--beta-omega": ("coeffs", ["0.5,5"]),
+    "--velocity": ("coeffs", ["0,0.99"]),
+    "--tau": ("wightman", ["0.1:2:4"]),
+    "--omega": ("wightman", ["2"]),
+    "--coupling-strength": ("concurrence", ["1e200"]),
+    "--v-max": ("coeffs", ["0.8"]),
+    "--epsilon": ("wightman", ["0.01"]),
+    "--oracle": ("death-time", []),
+    "--format": ("coeffs", ["json"]),
+    "--output": ("coeffs", ["out.csv"]),
+}
+
+
+@pytest.mark.parametrize("flag", _FLAGS)
+def test_flags_act_the_same_on_either_side_of_the_command(flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where --output writes out.csv
+    command, values = _EITHER_SIDE[flag]
+
+    def run(argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        written = Path("out.csv").read_text() if Path("out.csv").exists() else None
+        Path("out.csv").unlink(missing_ok=True)
+        return rc, captured.out, captured.err, written
+
+    after = run([command, flag, *values])
+    assert run([flag, *values, command]) == after
+    assert run([command]) != after
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    for name, command in cli._COMMANDS.items():
+        assert [name, *command.help.split()] in lines
+
+
 def test_wightman_oracle_certifies_the_default_grid_at_beta_omega_0_0625(capsys):
     # QUADPACK warned of round-off on this grid, 1.05e-13 off the closed form
     with warnings.catch_warnings():
@@ -519,6 +574,60 @@ def test_scans_of_one_coupling_check_only_its_rates(argv, capsys):
     assert captured.err.startswith("error: omega: ") and captured.out == ""
 
 
+def _decade(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# log-uniform across the floats, or with lam^2 omega^3 within a few decades of
+# the ends of the normal floats, where the speed might decide the check
+_OMEGA_LAM = st.one_of(
+    st.tuples(_decade(-323.0, 308.0), _decade(-323.0, 308.0)),
+    st.tuples(
+        _decade(-323.0, 308.0),
+        st.one_of(st.floats(-312.0, -303.0), st.floats(303.0, 310.0)),
+    ).map(lambda p: (10.0 ** min((p[1] - 2.0 * math.log10(p[0])) / 3.0, 308.0), p[0])),
+)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(
+    omega_lam=_OMEGA_LAM,
+    v_max=st.sampled_from([1e-300, 0.5, 0.99, 0.999999, 1.0 - 2.0**-53]),
+    coupling=st.sampled_from(list(Coupling)),
+    both=st.booleans(),
+)
+@example(omega_lam=(1e-103, 1.0), v_max=0.99, coupling=Coupling.DERIVATIVE, both=False)
+def test_rates_checked_at_v_max_reject_what_both_ends_of_the_speed_range_reject(
+    omega_lam, v_max, coupling, both
+):
+    omega, lam = omega_lam
+    assume(0.0 < omega < math.inf and 0.0 < lam < math.inf)
+
+    def rejects(omega, lam):
+        # the reference: every checked coupling's rates at rest and at v_max
+        try:
+            for c in Coupling if both else (coupling,):
+                for v in (0.0, v_max):
+                    DetectorParams(omega, lam, v, c, v_max)
+        except ValueError:
+            return True
+        return False
+
+    # ScanConfig checks omega at lam = 1 first, then lam at omega
+    expected = "omega" if rejects(omega, 1.0) else None
+    expected = expected or ("coupling_strength" if rejects(omega, lam) else None)
+    try:
+        ScanConfig(
+            coupling=coupling, omega=omega, coupling_strength=lam, v_max=v_max,
+            velocity=(0.0,), both_couplings=both,  # a speed every v_max admits
+        )
+        key = None
+    except ConfigError as exc:
+        key = str(exc).split(":")[0]
+    # a beta_omega the occupations overflow at is checked after the rates
+    assert (None if key == "beta_omega" else key) == expected
+
+
 def test_exit_two_on_unwritable_output(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     assert main(["coeffs", "--output", str(target)]) == 2
@@ -594,6 +703,8 @@ def _printed_cells(text):
 @example(argv=["coeffs", "--beta-omega", "1e-315"])
 # n_td's v^2 Taylor branch overflowed to nan beside a finite n_udw
 @example(argv=["coeffs", "--beta-omega", "1e-308", "--velocity", "0,1e-5"])
+# flags before the subcommand; the window oracle's error sums overflowed (exit 3)
+@example(argv=["--velocity", "0,0.5,0.99", "coeffs", "--beta-omega", "5.57e-309", "--oracle"])
 def test_exit_code_contract_holds_for_any_flags(argv):
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -601,7 +712,7 @@ def test_exit_code_contract_holds_for_any_flags(argv):
             with warnings.catch_warnings():
                 # wightman warns of separations inside the regulator (the
                 # default grid in a cold bath); any other warning is an error
-                if argv[0] == "wightman":
+                if "wightman" in argv:
                     warnings.simplefilter("ignore", PoleProximityWarning)
                 rc = main(argv)
     except SystemExit as exc:  # argparse's own usage errors
@@ -719,6 +830,22 @@ def test_coeffs_oracle_at_a_width_that_rounds_away(beta_omega, velocity, capsys)
     n_udw, n_td, _, _, n_udw_q, n_td_q = map(float, row.split(",")[2:])
     assert n_udw_q == pytest.approx(n_udw, rel=1e-12, abs=0.0)
     assert n_td_q == pytest.approx(n_td, rel=1e-12, abs=0.0)
+
+
+def test_coeffs_oracle_in_the_hottest_baths(capsys):
+    # the window mean's integrand is ~1/(beta_omega*red), past the largest
+    # float: the GK21 error sums overflowed to nan (exit 3)
+    argv = ["coeffs", "--beta-omega", "5.57e-309,1e-308,2e-308", "--velocity", "0,0.5,0.99"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _csv_rows(argv + ["--oracle"], capsys)
+    assert len(rows) == 9
+    for row in rows:
+        values = [float(x) for x in row.split(",")]
+        assert all(math.isfinite(x) for x in values), row
+        n_udw, n_td, _, _, n_udw_q, n_td_q = values[2:]
+        assert n_udw_q == pytest.approx(n_udw, rel=1e-10, abs=0.0), row
+        assert n_td_q == pytest.approx(n_td, rel=1e-10, abs=0.0), row
 
 
 def test_coeffs_oracle_in_cold_baths_warns_nothing_and_agrees(capsys):
