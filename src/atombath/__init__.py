@@ -7,23 +7,32 @@ Lindblad rates of a moving two-level system
 the joint state with an inert partner qubit (:mod:`atombath.dynamics`),
 and the entanglement of that pair is tracked to its sudden death
 (:mod:`atombath.entanglement`).  :mod:`atombath.specfun` supplies the
-Bose window integral behind the derivative-coupling occupation and the
-polylogarithms of its closed-form tail, and :mod:`atombath.cli` exposes
-everything as scan commands.
+Bose window integral behind the derivative-coupling occupation, and
+:mod:`atombath.cli` exposes everything as scan commands.
+
+Importing the package loads no numpy: the closed forms run on ``math``
+and ``cmath`` alone, and numpy is imported by the first oracle or
+state-matrix call.
 """
 
-from .coefficients import *
-from .correlations import *
-from .dynamics import *
-from .entanglement import *
-from .specfun import *
+from . import coefficients, correlations, dynamics, entanglement, specfun
 
 __version__ = "0.1.0"
 
-__all__ = (
-    coefficients.__all__
-    + correlations.__all__
-    + dynamics.__all__
-    + entanglement.__all__
-    + specfun.__all__
+_MODULES = (coefficients, correlations, dynamics, entanglement, specfun)
+
+__all__ = [name for mod in _MODULES for name in mod.__all__]
+
+# dynamics' Pauli arrays are built, and numpy imported, on first access
+# (__getattr__): a star import would build them here
+_LAZY = ("PAULI", "PAULI_PAIR")
+
+globals().update(
+    (name, getattr(mod, name)) for mod in _MODULES for name in mod.__all__ if name not in _LAZY
 )
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,8 +25,6 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
-import numpy as np
-
 from .coefficients import (
     BathParams,
     Coupling,
@@ -44,6 +42,7 @@ from .coefficients import (
     rate_unit,
 )
 from .correlations import (
+    PoleProximityWarning,
     wightman_derivative,
     wightman_derivative_fd,
     wightman_moving,
@@ -288,6 +287,8 @@ def _run_concurrence(cfg: ScanConfig):
 def _wootters(coeffs: LindbladCoefficients, grid: list[float], unit: float):
     # Wootters concurrence of the evolved pair along the grid: one stacked
     # state and one batched eigensolve per slice of _ORACLE_SLICE points
+    import numpy as np
+
     for lo in range(0, len(grid), _ORACLE_SLICE):
         tau = np.array(grid[lo : lo + _ORACLE_SLICE]) / unit
         yield from concurrence(shared_state(coeffs, tau)).tolist()
@@ -339,6 +340,8 @@ def _finite(w: complex, bw: float, v: float, s: float) -> complex:
 
 def _mode_sum_column(grid: list[float], det: DetectorParams, bath: BathParams, epsilon):
     # the udw oracle of a whole (beta_omega, v) block: one vectorised call
+    import numpy as np
+
     return iter(wightman_moving_quadrature(np.array(grid), det, bath, epsilon).tolist())
 
 
@@ -450,6 +453,14 @@ def _config_from_args(args: argparse.Namespace) -> ScanConfig:
     return ScanConfig(**values)
 
 
+def _numerical_failures() -> tuple[type[Exception], ...]:
+    # what exits 3: PoleProximityWarning counts where warnings are errors, and
+    # numpy's LinAlgError is looked up, not imported: only a loaded numpy raises one
+    numpy = sys.modules.get("numpy")
+    linalg = () if numpy is None else (numpy.linalg.LinAlgError,)
+    return (QuadratureError, ArithmeticError, PoleProximityWarning) + linalg
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -468,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot write output file {cfg.output}: {exc}") from None
     # LinAlgError subclasses ValueError, so this clause must come first
-    except (QuadratureError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except _numerical_failures() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     # ConfigError, and the parameter checks of the library's own types

@@ -28,8 +28,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .specfun import bose_head_ratio, bose_window, certified_gk21
 
 __all__ = [
@@ -354,6 +352,8 @@ def _window_mean(b: float, v: float, power: int) -> tuple[float, float, float]:
     # the mean of (x/b)^power P(x) over the Doppler window, x = lo + w t for
     # t in [0, 1]: the width w = b*(blue - red) is taken whole, so no rounded
     # edge difference is divided by v, and at v = 0 the window is its one point
+    import numpy as np
+
     red, _ = doppler_shifts(v)
     lo = b * red
     w = b * (2.0 * v) / math.sqrt(1.0 - v * v)

@@ -30,8 +30,6 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .coefficients import BathParams, DetectorParams, doppler_shifts, doppler_window
 from .specfun import BERNOULLI, certified_gk21
 
@@ -361,6 +359,8 @@ def _mode_sum_integrand(s, r, beta: float):
     # cos(ks) sin(kr)/(2 pi^2 r (e^(beta k) - 1)), which is
     # [sin k(s + r) - sin k(s - r)]/(4 pi^2 r) with nothing to cancel as
     # r -> 0; at r = 0 its limit, k cos(ks)/(2 pi^2 (e^(beta k) - 1))
+    import numpy as np
+
     at_rest = r == 0.0
     r_div = np.where(at_rest, 1.0, r)[:, None]
 
@@ -380,6 +380,8 @@ def _thermal_quadrature(s, r, beta: float, what: str):
     # the thermal mode sum at times s and distances r, with the error
     # estimates, by one certified panel quadrature per slice of
     # _MODE_SUM_SLICE separations
+    import numpy as np
+
     parts = max(1, math.ceil(len(s) / _MODE_SUM_SLICE))
     values, errors = [], []
     for s_part, r_part in zip(np.array_split(s, parts), np.array_split(r, parts)):
@@ -401,6 +403,8 @@ def wightman_static_quadrature(query: CorrelationQuery) -> complex:
     spherical kernel.  Intended for tests: slower and, near poles, less
     uniform than the closed form.
     """
+    import numpy as np
+
     s, r, beta, eps = query.s, query.r, query.beta, query.epsilon
     th, _ = _thermal_quadrature(np.array([s]), np.array([r]), beta, "static")
     return vacuum_wightman(s, eps, r) + th.item()
@@ -424,6 +428,8 @@ def wightman_moving_quadrature(
     meshes, so a value's last digits may move, within its certified
     error estimate, with the other separations beside it.
     """
+    import numpy as np
+
     eps = _resolve_epsilon(bath.beta, epsilon)
     g = detector.lorentz_gamma
     sep = np.atleast_1d(np.asarray(s, dtype=float))

@@ -15,12 +15,15 @@ the numeric integrator is checked.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coefficients import LindbladCoefficients
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PAULI",
@@ -39,27 +42,70 @@ __all__ = [
     "shared_state",
 ]
 
-PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+# the module's constant arrays: built by _arrays on first use, so that
+# importing the package loads no numpy, and read as module attributes
+# through __getattr__
+_ARRAY_NAMES = (
+    "PAULI",
+    "PAULI_PAIR",
+    "_PAULI_PAIR_RE",
+    "_PAULI_PAIR_IM",
+    "_L_DOWN",
+    "_L_UP",
+    "_N_DOWN",
+    "_N_UP",
+    "_SZ",
+    "_EYE16",
+    "_S_ROT",
+    "_S_DOWN",
+    "_S_UP",
+    "_BELL",
 )
 
-# PAULI_PAIR[i, j] = sigma_i x sigma_j, one (4, 4, 4, 4) array
-PAULI_PAIR = np.einsum("iab,jcd->ijacbd", PAULI, PAULI).reshape(4, 4, 4, 4)
-_PAULI_PAIR_RE = np.ascontiguousarray(PAULI_PAIR.real)
-_PAULI_PAIR_IM = np.ascontiguousarray(PAULI_PAIR.imag)
 
-_SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
+@functools.cache
+def _arrays() -> dict:
+    import numpy as np
 
-# jump operators act on the moving qubit only
-_L_DOWN = np.kron(_SIGMA_MINUS, _I2)
-_L_UP = _L_DOWN.conj().T
-_N_DOWN = _L_UP @ _L_DOWN  # projector on the excited moving qubit
-_N_UP = _L_DOWN @ _L_UP
-_SZ = np.kron(PAULI[3], _I2)
+    pauli = (
+        np.eye(2, dtype=complex),
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    )
+    # PAULI_PAIR[i, j] = sigma_i x sigma_j, one (4, 4, 4, 4) array
+    pair = np.einsum("iab,jcd->ijacbd", pauli, pauli).reshape(4, 4, 4, 4)
+    sigma_minus = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    i2 = np.eye(2, dtype=complex)
+    # jump operators act on the moving qubit only
+    l_down = np.kron(sigma_minus, i2)
+    l_up = l_down.conj().T
+    arrays = {
+        "PAULI": pauli,
+        "PAULI_PAIR": pair,
+        "_PAULI_PAIR_RE": np.ascontiguousarray(pair.real),
+        "_PAULI_PAIR_IM": np.ascontiguousarray(pair.imag),
+        "_L_DOWN": l_down,
+        "_L_UP": l_up,
+        "_N_DOWN": l_up @ l_down,  # projector on the excited moving qubit
+        "_N_UP": l_down @ l_up,
+        "_SZ": np.kron(pauli[3], i2),
+        "_EYE16": np.eye(16),
+        # bloch_from_density(bell_state()), exact; literal, so that no eigensolve runs
+        "_BELL": np.diag([0.25, 0.25, -0.25, 0.25]),
+    }
+    # the channels as 16x16 superoperators on row-major flattened 4x4 matrices:
+    # column k is the channel of the k-th matrix unit
+    arrays["_S_ROT"], arrays["_S_DOWN"], arrays["_S_UP"] = (
+        c.reshape(16, 16).T for c in _channels(arrays["_EYE16"].reshape(16, 4, 4) + 0j, arrays)
+    )
+    return arrays
+
+
+def __getattr__(name: str):
+    if name in _ARRAY_NAMES:
+        return _arrays()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # slack the state checks forgive; evolved states' eigenvalues sit on a
@@ -83,6 +129,8 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     1e-12; eigenvalues may dip to -1e-10 before a state is rejected,
     which leaves room for the roundoff floor of evolved states.
     """
+    import numpy as np
+
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
@@ -104,6 +152,8 @@ def _reject_first(bad: np.ndarray, message, error: type[Exception] = ValueError)
     single state); ``message(i)`` describes state ``i``, and a stack's
     error is prefixed with that index.
     """
+    import numpy as np
+
     if not bad.any():
         return
     i = np.unravel_index(np.argmax(bad), bad.shape)
@@ -114,6 +164,8 @@ def _reject_first(bad: np.ndarray, message, error: type[Exception] = ValueError)
 def check_bloch_tensor(u: np.ndarray) -> np.ndarray:
     """Validate one Pauli-expansion tensor or a ``(..., 4, 4)`` stack of them
     (an error names the first failing one); return them as float ndarray."""
+    import numpy as np
+
     u = np.asarray(u, dtype=float)
     if u.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 tensor or a stack of them, got shape {u.shape}")
@@ -131,24 +183,31 @@ def check_bloch_tensor(u: np.ndarray) -> np.ndarray:
 
 def bloch_from_density(rho: np.ndarray) -> np.ndarray:
     """Pauli expansion coefficients ``Tr[rho (sigma_i x sigma_j)]/4`` of states."""
+    import numpy as np
+
     rho = check_density_matrix(rho)
-    return np.einsum("...kl,ijlk->...ij", rho, PAULI_PAIR).real / 4.0
+    return np.einsum("...kl,ijlk->...ij", rho, _arrays()["PAULI_PAIR"]).real / 4.0
 
 
 def density_from_bloch(u: np.ndarray) -> np.ndarray:
     """Reassemble ``sum_ij u[i,j] sigma_i x sigma_j`` from one tensor or a stack."""
+    import numpy as np
+
     u = check_bloch_tensor(u)
+    arrays = _arrays()
     # real and imaginary parts contracted apart: a real einsum runs ~4x
     # faster than a complex one, and unlike a BLAS product it sums each
     # entry in the same order for one tensor as for a stack
     rho = np.empty(u.shape, dtype=complex)
-    rho.real = np.einsum("...ij,ijkl->...kl", u, _PAULI_PAIR_RE)
-    rho.imag = np.einsum("...ij,ijkl->...kl", u, _PAULI_PAIR_IM)
+    rho.real = np.einsum("...ij,ijkl->...kl", u, arrays["_PAULI_PAIR_RE"])
+    rho.imag = np.einsum("...ij,ijkl->...kl", u, arrays["_PAULI_PAIR_IM"])
     return rho
 
 
 def bell_state() -> np.ndarray:
     """Maximally entangled pair ``(|00> + |11>)/sqrt(2)`` as a density matrix."""
+    import numpy as np
+
     # exact halves: an outer product of 1/sqrt(2) vectors gives 0.4999999999999999
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[0, 3] = rho[3, 0] = rho[3, 3] = 0.5
@@ -157,6 +216,8 @@ def bell_state() -> np.ndarray:
 
 def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
     """Reduced state of one qubit; ``keep=0`` the moving one, ``keep=1`` the partner."""
+    import numpy as np
+
     r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
     if keep == 0:
         return np.einsum("ijkj->ik", r)
@@ -165,12 +226,14 @@ def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
     raise ValueError(f"keep must be 0 or 1, got {keep!r}")
 
 
-def _channels(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _channels(rho: np.ndarray, arrays: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the rotation, decay and excitation parts of the generator, each still
-    # to be weighted by its entry of _weights
-    rot = _SZ @ rho - rho @ _SZ
-    down = _L_DOWN @ rho @ _L_UP - 0.5 * (_N_DOWN @ rho + rho @ _N_DOWN)
-    up = _L_UP @ rho @ _L_DOWN - 0.5 * (_N_UP @ rho + rho @ _N_UP)
+    # to be weighted by its entry of _weights; arrays is _arrays()'s dict
+    sz, l_down, l_up = arrays["_SZ"], arrays["_L_DOWN"], arrays["_L_UP"]
+    n_down, n_up = arrays["_N_DOWN"], arrays["_N_UP"]
+    rot = sz @ rho - rho @ sz
+    down = l_down @ rho @ l_up - 0.5 * (n_down @ rho + rho @ n_down)
+    up = l_up @ rho @ l_down - 0.5 * (n_up @ rho + rho @ n_up)
     return rot, down, up
 
 
@@ -186,20 +249,17 @@ def gksl_generator(rho: np.ndarray, coeffs: LindbladCoefficients) -> np.ndarray:
     Coherent rotation at ``omega_eff`` about the moving qubit's z axis
     plus thermally weighted decay and excitation channels; the auxiliary
     factor is untouched.  No state validation here: the map is linear,
-    and its channels are also built at import on matrix units, not states.
+    and its channels are also built once, on first use, on matrix units,
+    not states.
     """
+    import numpy as np
+
     w_rot, w_down, w_up = _weights(coeffs)
-    rot, down, up = _channels(np.asarray(rho, dtype=complex))
+    rot, down, up = _channels(np.asarray(rho, dtype=complex), _arrays())
     out = w_rot * rot
     out += w_down * down
     out += w_up * up
     return out
-
-
-_EYE16 = np.eye(16)
-# the channels as 16x16 superoperators on row-major flattened 4x4 matrices:
-# column k is the channel of the k-th matrix unit
-_S_ROT, _S_DOWN, _S_UP = (c.reshape(16, 16).T for c in _channels(_EYE16.reshape(16, 4, 4) + 0j))
 
 
 def evolve_closed_form(
@@ -217,6 +277,8 @@ def evolve_closed_form(
     Row 0 is conserved.  A scalar ``tau`` (finite, non-negative) gives one
     4x4 tensor, an array of times a ``tau.shape + (4, 4)`` stack.
     """
+    import numpy as np
+
     u0 = check_bloch_tensor(u0)
     tau = np.asarray(tau, dtype=float)
     _reject_first(~(tau >= 0.0), lambda i: f"tau must be non-negative, got {float(tau[i])!r}")
@@ -256,8 +318,8 @@ def evolve_numeric(rho0: np.ndarray, coeffs: LindbladCoefficients, tau: float) -
     truncation error near the roundoff floor.  The generator ``L`` is
     linear and constant: as a 16x16 matrix on flattened states it is the
     rate-weighted sum of three channel superoperators (rotation, decay,
-    excitation), built once at import from :func:`gksl_generator`'s own
-    channel terms.  One step is the matrix
+    excitation), built once, on first use, from :func:`gksl_generator`'s
+    own channel terms.  One step is the matrix
     ``P(hL) = I + hL(I + hL(I + hL(I + hL/4)/3)/2)`` and ``n`` steps are
     its ``n``-th power.  A final check emits :class:`PositivityWarning`
     if roundoff has pushed the state further than 1e-8 below zero, or
@@ -265,6 +327,8 @@ def evolve_numeric(rho0: np.ndarray, coeffs: LindbladCoefficients, tau: float) -
     :func:`check_density_matrix` allows; the trace drifts by ~1.6e-17
     per step, so this fires from ~6e4 steps on.
     """
+    import numpy as np
+
     rho = check_density_matrix(rho0)
     if not 0.0 <= tau < math.inf:
         raise ValueError(f"tau must be non-negative and finite, got {tau!r}")
@@ -273,8 +337,11 @@ def evolve_numeric(rho0: np.ndarray, coeffs: LindbladCoefficients, tau: float) -
     n = max(1, math.ceil(tau / default_rk4_step(coeffs)))
     # h L as a 16x16 matrix, weighted as gksl_generator weights its channels
     w_rot, w_down, w_up = _weights(coeffs)
-    hl = (tau / n) * (w_rot * _S_ROT + w_down * _S_DOWN + w_up * _S_UP)
-    eye = _EYE16
+    arrays = _arrays()
+    hl = (tau / n) * (
+        w_rot * arrays["_S_ROT"] + w_down * arrays["_S_DOWN"] + w_up * arrays["_S_UP"]
+    )
+    eye = arrays["_EYE16"]
     step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
     rho = (np.linalg.matrix_power(step, n) @ rho.ravel()).reshape(4, 4)
     low = np.linalg.eigvalsh(rho).min()
@@ -291,10 +358,6 @@ def evolve_numeric(rho0: np.ndarray, coeffs: LindbladCoefficients, tau: float) -
     return rho
 
 
-# bloch_from_density(bell_state()), exact; literal, so that import runs no eigensolve
-_BELL = np.diag([0.25, 0.25, -0.25, 0.25])
-
-
 def shared_state(coeffs: LindbladCoefficients, tau: float | np.ndarray) -> np.ndarray:
     """Joint state at proper time ``tau`` for the maximally entangled start.
 
@@ -303,4 +366,4 @@ def shared_state(coeffs: LindbladCoefficients, tau: float | np.ndarray) -> np.nd
     half the rate of the population relaxation.  A scalar ``tau`` gives
     one 4x4 matrix, an array of times a ``tau.shape + (4, 4)`` stack.
     """
-    return density_from_bloch(evolve_closed_form(_BELL, coeffs, tau))
+    return density_from_bloch(evolve_closed_form(_arrays()["_BELL"], coeffs, tau))

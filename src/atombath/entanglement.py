@@ -13,13 +13,17 @@ independently so they can be played against each other in tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from . import dynamics
 from .coefficients import LindbladCoefficients
-from .dynamics import PAULI_PAIR, _reject_first, check_density_matrix
+from .dynamics import _reject_first, check_density_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "XState",
@@ -30,7 +34,12 @@ __all__ = [
     "sudden_death_time_bisection",
 ]
 
-_YY = PAULI_PAIR[2][2]
+
+@functools.cache
+def _yy() -> np.ndarray:
+    # Y x Y, taken from dynamics' Pauli pairs on first use
+    return dynamics.PAULI_PAIR[2][2]
+
 
 # eigenvalues of rho rho~ are real and non-negative in exact arithmetic;
 # these set how much numerical slack is forgiven before erroring out
@@ -57,8 +66,11 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
         Negative parts within the tolerance are clamped to zero.  For a
         stack the message names the first such state.
     """
+    import numpy as np
+
     rho = check_density_matrix(rho)
-    flipped = _YY @ rho.conj() @ _YY
+    yy = _yy()
+    flipped = yy @ rho.conj() @ yy
     lam = np.linalg.eigvals(rho @ flipped)
     worst_imag = np.abs(lam.imag).max(axis=-1)
     _reject_first(
@@ -109,6 +121,8 @@ class XState:
             raise ValueError("inner coherence violates |a23| <= sqrt(d2 d3)")
 
     def to_matrix(self) -> np.ndarray:
+        import numpy as np
+
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = self.d1, self.d2, self.d3, self.d4
         rho[0, 3] = self.a14
@@ -120,6 +134,8 @@ class XState:
     @classmethod
     def from_matrix(cls, rho: np.ndarray) -> "XState":
         """Extract the X entries, rejecting matrices that are not X shaped."""
+        import numpy as np
+
         rho = np.asarray(rho, dtype=complex)
         mask = np.ones((4, 4), dtype=bool)
         for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)):

@@ -30,10 +30,10 @@ acceptance rule (:func:`certify`).
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from fractions import Fraction
-
-import numpy as np
 
 __all__ = [
     "QuadratureError",
@@ -89,6 +89,8 @@ def certify(value, error, what: str, rtol: float, floor: float):
     names ``what`` and the first failing component's estimate.  The one
     acceptance rule of the quadrature oracles.
     """
+    import numpy as np
+
     ok = np.isfinite(value) & (error <= rtol * np.maximum(np.abs(value), floor))
     if not np.all(ok):
         err = np.extract(~ok, error)[0]
@@ -99,44 +101,56 @@ def certify(value, error, what: str, rtol: float, floor: float):
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (qk21), on its 11
 # nodes x >= 0 from the outside in: the Kronrod weights, and the 10-point
 # Gauss weights, which sit on every other node and are 0 on the rest
-_XGK = np.array([
+_XGK = (
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
     0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
     0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
     0.0,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
     0.123491976262065851077208980222731, 0.134709217311473325928054001771707,
     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
     0.149445554002916905664936468389821,
-])
-_WG = np.array([
+)
+_WG = (
     0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
     0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
     0.0, 0.295524224714752870173892994651673, 0.0,
-])
-# the 21 nodes in ascending order, and each rule's weights on them
-_GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
-_GK_KRONROD, _GK_GAUSS = (np.concatenate([w, w[-2::-1]]) for w in (_WGK, _WG))
-_EPS = np.finfo(float).eps
+)
+_EPS = sys.float_info.epsilon
+
+
+@functools.cache
+def _gk21_tables():
+    # the 21 nodes in ascending order, and each rule's weights on them, as
+    # arrays built on first use: importing the package loads no numpy
+    import numpy as np
+
+    xgk = np.array(_XGK)
+    nodes = np.concatenate([-xgk, xgk[-2::-1]])
+    kronrod, gauss = (np.concatenate([w, w[-2::-1]]) for w in map(np.array, (_WGK, _WG)))
+    return nodes, kronrod, gauss
 
 
 def _gk21(f, lo, hi):
     # each component's integral and QUADPACK error estimate on each panel
     # [lo, hi]: arrays (components, panels), and the round-off floor that
     # bisection cannot lower
+    import numpy as np
+
+    nodes, w_kronrod, w_gauss = _gk21_tables()
     half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
-    fx = f(x.ravel()).reshape(-1, len(lo), len(_GK_NODES))
-    kronrod = fx @ _GK_KRONROD
-    resabs = np.abs(fx) @ _GK_KRONROD * half
-    resasc = np.abs(fx - 0.5 * kronrod[..., None]) @ _GK_KRONROD * half
-    diff = np.abs(kronrod - fx @ _GK_GAUSS) * half
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
+    fx = f(x.ravel()).reshape(-1, len(lo), len(nodes))
+    kronrod = fx @ w_kronrod
+    resabs = np.abs(fx) @ w_kronrod * half
+    resasc = np.abs(fx - 0.5 * kronrod[..., None]) @ w_kronrod * half
+    diff = np.abs(kronrod - fx @ w_gauss) * half
     scaled = resasc * np.minimum(1.0, 200.0 * diff / np.where(resasc > 0.0, resasc, 1.0)) ** 1.5
     noise = 50.0 * _EPS * resabs
     return kronrod * half, np.maximum(np.where(resasc > 0.0, scaled, diff), noise), noise
@@ -154,6 +168,8 @@ def certified_gk21(f, a, b, what, rtol, floor, *, epsabs, epsrel, limit):
     is not.  Returns each component's value and summed error estimate,
     the values only if :func:`certify` accepts them all.
     """
+    import numpy as np
+
     lo, hi = np.array([float(a)]), np.array([float(b)])
     # non-finite values and estimates are left to certify, which rejects them
     with np.errstate(all="ignore"):

@@ -497,6 +497,68 @@ def test_exit_three_where_the_correlator_is_not_finite(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["wightman", "--beta-omega", "5000", "--velocity", "0", "--tau", "0.1:3:3"],
+     ["wightman", "--tau", "0:3:3"]],
+)
+def test_pole_proximity_warning_as_an_error_exits_three(argv, capsys):
+    # python -W error raises the warning: a numerical failure, not a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PoleProximityWarning)
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: ") and captured.out == ""
+    # left a warning, it is only reported: the same rows, exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PoleProximityWarning)
+        assert main(argv) == 0
+    quiet = capsys.readouterr().out
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", PoleProximityWarning)
+        assert main(argv) == 0
+    assert caught and all(w.category is PoleProximityWarning for w in caught)
+    assert capsys.readouterr().out == quiet != ""
+
+
+def _python(code, *args):
+    # a fresh interpreter running code on this checkout's src
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["concurrence"], ["coeffs"], ["death-time"], ["wightman", "--coupling", "udw"],
+     ["wightman", "--coupling", "td"]],
+    ids=["concurrence", "coeffs", "death-time", "wightman-udw", "wightman-td"],
+)
+def test_closed_forms_run_with_numpy_blocked(command, capsys):
+    # None in sys.modules makes any import of numpy raise ImportError
+    done = _python(
+        "import sys; sys.modules['numpy'] = None\n"
+        "from atombath.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n",
+        *command,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PoleProximityWarning)
+        assert main(command) == 0
+    assert (done.returncode, done.stdout) == (0, capsys.readouterr().out)
+
+
+def test_importing_the_package_and_building_the_parser_loads_no_numpy():
+    done = _python(
+        "import sys, atombath, atombath.cli\n"
+        "atombath.cli.build_parser()\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["--beta-omega", "nan"],

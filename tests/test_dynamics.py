@@ -54,6 +54,16 @@ def test_pauli_pair_table():
             )
 
 
+def test_module_serves_exactly_its_built_arrays():
+    # __getattr__ serves the names it lists, each the one cached array, and
+    # refuses any other name
+    built = dynamics._arrays()
+    assert sorted(dynamics._ARRAY_NAMES) == sorted(built)
+    for name in dynamics._ARRAY_NAMES:
+        assert getattr(dynamics, name) is built[name], name
+    assert not hasattr(dynamics, "__path__")
+
+
 def test_bell_state_tensor():
     rho = bell_state()
     check_density_matrix(rho)
