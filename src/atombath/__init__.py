@@ -11,8 +11,8 @@ Bose window integral behind the derivative-coupling occupation, and
 :mod:`atombath.cli` exposes everything as scan commands.
 
 Importing the package loads no numpy: the closed forms run on ``math``
-and ``cmath`` alone, and numpy is imported by the first oracle or
-state-matrix call.
+and ``cmath`` alone, and :mod:`atombath._np` imports numpy on the first
+oracle or state-matrix call.
 """
 
 from . import coefficients, correlations, dynamics, entanglement, specfun
@@ -20,19 +20,16 @@ from . import coefficients, correlations, dynamics, entanglement, specfun
 __version__ = "0.1.0"
 
 _MODULES = (coefficients, correlations, dynamics, entanglement, specfun)
+_HOME = {name: mod for mod in _MODULES for name in mod.__all__}  # name -> the module listing it
 
-__all__ = [name for mod in _MODULES for name in mod.__all__]
+__all__ = list(_HOME)
 
-# dynamics' Pauli arrays are built, and numpy imported, on first access
-# (__getattr__): a star import would build them here
-_LAZY = ("PAULI", "PAULI_PAIR")
-
-globals().update(
-    (name, getattr(mod, name)) for mod in _MODULES for name in mod.__all__ if name not in _LAZY
-)
+# only the names each module already holds: dynamics' arrays (PAULI,
+# PAULI_PAIR) are forwarded by __getattr__, built on first read
+globals().update((name, vars(mod)[name]) for name, mod in _HOME.items() if name in vars(mod))
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
-        return getattr(dynamics, name)
+    if name in _HOME:
+        return getattr(_HOME[name], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

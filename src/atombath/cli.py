@@ -25,6 +25,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
+from . import _np as np
 from .coefficients import (
     BathParams,
     Coupling,
@@ -287,8 +288,6 @@ def _run_concurrence(cfg: ScanConfig):
 def _wootters(coeffs: LindbladCoefficients, grid: list[float], unit: float):
     # Wootters concurrence of the evolved pair along the grid: one stacked
     # state and one batched eigensolve per slice of _ORACLE_SLICE points
-    import numpy as np
-
     for lo in range(0, len(grid), _ORACLE_SLICE):
         tau = np.array(grid[lo : lo + _ORACLE_SLICE]) / unit
         yield from concurrence(shared_state(coeffs, tau)).tolist()
@@ -340,8 +339,6 @@ def _finite(w: complex, bw: float, v: float, s: float) -> complex:
 
 def _mode_sum_column(grid: list[float], det: DetectorParams, bath: BathParams, epsilon):
     # the udw oracle of a whole (beta_omega, v) block: one vectorised call
-    import numpy as np
-
     return iter(wightman_moving_quadrature(np.array(grid), det, bath, epsilon).tolist())
 
 

@@ -28,6 +28,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
+from . import _np as np
 from .specfun import bose_head_ratio, bose_window, certified_gk21
 
 __all__ = [
@@ -158,8 +159,10 @@ class LindbladCoefficients:
     def __post_init__(self) -> None:
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
-        if self.n < 0.0:
+        if not self.n >= 0.0:
             raise ValueError(f"n must be non-negative, got {self.n!r}")
+        if not math.isfinite(self.omega_eff):
+            raise ValueError(f"omega_eff must be finite, got {self.omega_eff!r}")
         if not math.isfinite(self.a):
             raise ValueError(
                 f"damping rate a = gamma*(2n+1) must be finite, got {self.a!r} "
@@ -352,8 +355,6 @@ def _window_mean(b: float, v: float, power: int) -> tuple[float, float, float]:
     # the mean of (x/b)^power P(x) over the Doppler window, x = lo + w t for
     # t in [0, 1]: the width w = b*(blue - red) is taken whole, so no rounded
     # edge difference is divided by v, and at v = 0 the window is its one point
-    import numpy as np
-
     red, _ = doppler_shifts(v)
     lo = b * red
     w = b * (2.0 * v) / math.sqrt(1.0 - v * v)

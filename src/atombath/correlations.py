@@ -30,6 +30,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 
+from . import _np as np
 from .coefficients import BathParams, DetectorParams, doppler_shifts, doppler_window
 from .specfun import BERNOULLI, certified_gk21
 
@@ -89,8 +90,8 @@ class CorrelationQuery:
 
     def __post_init__(self) -> None:
         BathParams(self.beta)  # validates beta
-        if self.r < 0.0:
-            raise ValueError(f"r must be non-negative, got {self.r!r}")
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError(f"r must be non-negative and finite, got {self.r!r}")
         object.__setattr__(self, "epsilon", _resolve_epsilon(self.beta, self.epsilon))
 
 
@@ -199,8 +200,8 @@ def wightman_coincidence(s: float, beta: float) -> float:
     static function at ``r = 0`` is this plus the vacuum kernel plus the
     ``1/(4 pi^2 s^2)`` pole subtraction.  Diverges at ``s = 0``.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
     if s == 0.0:
         raise ValueError("coincidence term diverges at s = 0")
     return -_image(math.pi * s / beta, beta)
@@ -210,6 +211,8 @@ def _pole_shift(s: float, eps: float, r: float = 0.0):
     # s, or s - i eps with a warning when s lies within eps/10 of a
     # light-cone pole s = +-r (r >= 0); the warning names the first
     # caller outside this module
+    if not math.isfinite(s):
+        raise ValueError(f"separation s must be finite, got {s!r}")
     if abs(abs(s) - r) >= eps / 10.0:
         return s
     depth = 1
@@ -359,8 +362,6 @@ def _mode_sum_integrand(s, r, beta: float):
     # cos(ks) sin(kr)/(2 pi^2 r (e^(beta k) - 1)), which is
     # [sin k(s + r) - sin k(s - r)]/(4 pi^2 r) with nothing to cancel as
     # r -> 0; at r = 0 its limit, k cos(ks)/(2 pi^2 (e^(beta k) - 1))
-    import numpy as np
-
     at_rest = r == 0.0
     r_div = np.where(at_rest, 1.0, r)[:, None]
 
@@ -380,8 +381,6 @@ def _thermal_quadrature(s, r, beta: float, what: str):
     # the thermal mode sum at times s and distances r, with the error
     # estimates, by one certified panel quadrature per slice of
     # _MODE_SUM_SLICE separations
-    import numpy as np
-
     parts = max(1, math.ceil(len(s) / _MODE_SUM_SLICE))
     values, errors = [], []
     for s_part, r_part in zip(np.array_split(s, parts), np.array_split(r, parts)):
@@ -403,8 +402,6 @@ def wightman_static_quadrature(query: CorrelationQuery) -> complex:
     spherical kernel.  Intended for tests: slower and, near poles, less
     uniform than the closed form.
     """
-    import numpy as np
-
     s, r, beta, eps = query.s, query.r, query.beta, query.epsilon
     th, _ = _thermal_quadrature(np.array([s]), np.array([r]), beta, "static")
     return vacuum_wightman(s, eps, r) + th.item()
@@ -428,8 +425,6 @@ def wightman_moving_quadrature(
     meshes, so a value's last digits may move, within its certified
     error estimate, with the other separations beside it.
     """
-    import numpy as np
-
     eps = _resolve_epsilon(bath.beta, epsilon)
     g = detector.lorentz_gamma
     sep = np.atleast_1d(np.asarray(s, dtype=float))

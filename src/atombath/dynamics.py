@@ -18,12 +18,9 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from typing import TYPE_CHECKING
 
+from . import _np as np
 from .coefficients import LindbladCoefficients
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "PAULI",
@@ -42,31 +39,12 @@ __all__ = [
     "shared_state",
 ]
 
-# the module's constant arrays: built by _arrays on first use, so that
-# importing the package loads no numpy, and read as module attributes
-# through __getattr__
-_ARRAY_NAMES = (
-    "PAULI",
-    "PAULI_PAIR",
-    "_PAULI_PAIR_RE",
-    "_PAULI_PAIR_IM",
-    "_L_DOWN",
-    "_L_UP",
-    "_N_DOWN",
-    "_N_UP",
-    "_SZ",
-    "_EYE16",
-    "_S_ROT",
-    "_S_DOWN",
-    "_S_UP",
-    "_BELL",
-)
 
-
+# the module's constant arrays, PAULI and PAULI_PAIR among them: built on
+# first use, so that importing the package loads no numpy, and read as
+# module attributes through __getattr__
 @functools.cache
 def _arrays() -> dict:
-    import numpy as np
-
     pauli = (
         np.eye(2, dtype=complex),
         np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -103,7 +81,8 @@ def _arrays() -> dict:
 
 
 def __getattr__(name: str):
-    if name in _ARRAY_NAMES:
+    # dunders (an import's __path__ probe, inspect's __wrapped__) are refused unbuilt
+    if not name.startswith("__") and name in _arrays():
         return _arrays()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -129,17 +108,15 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     1e-12; eigenvalues may dip to -1e-10 before a state is rejected,
     which leaves room for the roundoff floor of evolved states.
     """
-    import numpy as np
-
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
     herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     _reject_first(
-        herm > _HERM_TOL, lambda i: f"matrix is not Hermitian: max deviation {herm[i]:.3e}"
+        ~(herm <= _HERM_TOL), lambda i: f"matrix is not Hermitian: max deviation {herm[i]:.3e}"
     )
     tr = rho.trace(axis1=-2, axis2=-1)
-    _reject_first(abs(tr - 1.0) > _TRACE_TOL, lambda i: f"trace must be 1, got {tr[i]!r}")
+    _reject_first(~(abs(tr - 1.0) <= _TRACE_TOL), lambda i: f"trace must be 1, got {tr[i]!r}")
     low = np.linalg.eigvalsh(rho).min(axis=-1)
     _reject_first(low < -_PSD_TOL, lambda i: f"matrix has negative eigenvalue {low[i]:.3e}")
     return rho
@@ -152,8 +129,6 @@ def _reject_first(bad: np.ndarray, message, error: type[Exception] = ValueError)
     single state); ``message(i)`` describes state ``i``, and a stack's
     error is prefixed with that index.
     """
-    import numpy as np
-
     if not bad.any():
         return
     i = np.unravel_index(np.argmax(bad), bad.shape)
@@ -164,35 +139,29 @@ def _reject_first(bad: np.ndarray, message, error: type[Exception] = ValueError)
 def check_bloch_tensor(u: np.ndarray) -> np.ndarray:
     """Validate one Pauli-expansion tensor or a ``(..., 4, 4)`` stack of them
     (an error names the first failing one); return them as float ndarray."""
-    import numpy as np
-
     u = np.asarray(u, dtype=float)
     if u.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 tensor or a stack of them, got shape {u.shape}")
     norm = u[..., 0, 0]
     _reject_first(
-        abs(norm - 0.25) > 1e-12,
+        ~(abs(norm - 0.25) <= 1e-12),
         lambda i: f"normalization component must be 1/4, got {norm[i]!r}",
     )
     big = np.abs(u).max(axis=(-2, -1))
     _reject_first(
-        big > 0.25 + _BLOCH_TOL, lambda i: f"components cannot exceed 1/4, found {big[i]!r}"
+        ~(big <= 0.25 + _BLOCH_TOL), lambda i: f"components cannot exceed 1/4, found {big[i]!r}"
     )
     return u
 
 
 def bloch_from_density(rho: np.ndarray) -> np.ndarray:
     """Pauli expansion coefficients ``Tr[rho (sigma_i x sigma_j)]/4`` of states."""
-    import numpy as np
-
     rho = check_density_matrix(rho)
     return np.einsum("...kl,ijlk->...ij", rho, _arrays()["PAULI_PAIR"]).real / 4.0
 
 
 def density_from_bloch(u: np.ndarray) -> np.ndarray:
     """Reassemble ``sum_ij u[i,j] sigma_i x sigma_j`` from one tensor or a stack."""
-    import numpy as np
-
     u = check_bloch_tensor(u)
     arrays = _arrays()
     # real and imaginary parts contracted apart: a real einsum runs ~4x
@@ -206,8 +175,6 @@ def density_from_bloch(u: np.ndarray) -> np.ndarray:
 
 def bell_state() -> np.ndarray:
     """Maximally entangled pair ``(|00> + |11>)/sqrt(2)`` as a density matrix."""
-    import numpy as np
-
     # exact halves: an outer product of 1/sqrt(2) vectors gives 0.4999999999999999
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[0, 3] = rho[3, 0] = rho[3, 3] = 0.5
@@ -216,8 +183,6 @@ def bell_state() -> np.ndarray:
 
 def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
     """Reduced state of one qubit; ``keep=0`` the moving one, ``keep=1`` the partner."""
-    import numpy as np
-
     r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
     if keep == 0:
         return np.einsum("ijkj->ik", r)
@@ -252,8 +217,6 @@ def gksl_generator(rho: np.ndarray, coeffs: LindbladCoefficients) -> np.ndarray:
     and its channels are also built once, on first use, on matrix units,
     not states.
     """
-    import numpy as np
-
     w_rot, w_down, w_up = _weights(coeffs)
     rot, down, up = _channels(np.asarray(rho, dtype=complex), _arrays())
     out = w_rot * rot
@@ -277,8 +240,6 @@ def evolve_closed_form(
     Row 0 is conserved.  A scalar ``tau`` (finite, non-negative) gives one
     4x4 tensor, an array of times a ``tau.shape + (4, 4)`` stack.
     """
-    import numpy as np
-
     u0 = check_bloch_tensor(u0)
     tau = np.asarray(tau, dtype=float)
     _reject_first(~(tau >= 0.0), lambda i: f"tau must be non-negative, got {float(tau[i])!r}")
@@ -327,8 +288,6 @@ def evolve_numeric(rho0: np.ndarray, coeffs: LindbladCoefficients, tau: float) -
     :func:`check_density_matrix` allows; the trace drifts by ~1.6e-17
     per step, so this fires from ~6e4 steps on.
     """
-    import numpy as np
-
     rho = check_density_matrix(rho0)
     if not 0.0 <= tau < math.inf:
         raise ValueError(f"tau must be non-negative and finite, got {tau!r}")

@@ -13,17 +13,13 @@ independently so they can be played against each other in tests.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from . import _np as np
 from . import dynamics
 from .coefficients import LindbladCoefficients
 from .dynamics import _reject_first, check_density_matrix
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "XState",
@@ -33,12 +29,6 @@ __all__ = [
     "sudden_death_time",
     "sudden_death_time_bisection",
 ]
-
-
-@functools.cache
-def _yy() -> np.ndarray:
-    # Y x Y, taken from dynamics' Pauli pairs on first use
-    return dynamics.PAULI_PAIR[2][2]
 
 
 # eigenvalues of rho rho~ are real and non-negative in exact arithmetic;
@@ -66,10 +56,8 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
         Negative parts within the tolerance are clamped to zero.  For a
         stack the message names the first such state.
     """
-    import numpy as np
-
     rho = check_density_matrix(rho)
-    yy = _yy()
+    yy = dynamics.PAULI_PAIR[2, 2]  # Y x Y; read here, as dynamics builds it on first use
     flipped = yy @ rho.conj() @ yy
     lam = np.linalg.eigvals(rho @ flipped)
     worst_imag = np.abs(lam.imag).max(axis=-1)
@@ -111,18 +99,18 @@ class XState:
 
     def __post_init__(self) -> None:
         pops = (self.d1, self.d2, self.d3, self.d4)
-        if min(pops) < -1e-12:
+        # negated comparisons, which a NaN cannot pass (nor min(), whose
+        # answer with a NaN depends on where it sits)
+        if not all(p >= -1e-12 for p in pops):
             raise ValueError(f"populations must be non-negative, got {pops}")
-        if abs(sum(pops) - 1.0) > 1e-12:
+        if not abs(sum(pops) - 1.0) <= 1e-12:
             raise ValueError(f"populations must sum to 1, got {sum(pops)!r}")
-        if abs(self.a14) > math.sqrt(max(self.d1 * self.d4, 0.0)) + 1e-12:
+        if not abs(self.a14) <= math.sqrt(max(self.d1 * self.d4, 0.0)) + 1e-12:
             raise ValueError("outer coherence violates |a14| <= sqrt(d1 d4)")
-        if abs(self.a23) > math.sqrt(max(self.d2 * self.d3, 0.0)) + 1e-12:
+        if not abs(self.a23) <= math.sqrt(max(self.d2 * self.d3, 0.0)) + 1e-12:
             raise ValueError("inner coherence violates |a23| <= sqrt(d2 d3)")
 
     def to_matrix(self) -> np.ndarray:
-        import numpy as np
-
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = self.d1, self.d2, self.d3, self.d4
         rho[0, 3] = self.a14
@@ -134,8 +122,6 @@ class XState:
     @classmethod
     def from_matrix(cls, rho: np.ndarray) -> "XState":
         """Extract the X entries, rejecting matrices that are not X shaped."""
-        import numpy as np
-
         rho = np.asarray(rho, dtype=complex)
         mask = np.ones((4, 4), dtype=bool)
         for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)):

@@ -35,6 +35,8 @@ import math
 import sys
 from fractions import Fraction
 
+from . import _np as np
+
 __all__ = [
     "QuadratureError",
     "ZETA_2",
@@ -89,8 +91,6 @@ def certify(value, error, what: str, rtol: float, floor: float):
     names ``what`` and the first failing component's estimate.  The one
     acceptance rule of the quadrature oracles.
     """
-    import numpy as np
-
     ok = np.isfinite(value) & (error <= rtol * np.maximum(np.abs(value), floor))
     if not np.all(ok):
         err = np.extract(~ok, error)[0]
@@ -129,8 +129,6 @@ _EPS = sys.float_info.epsilon
 def _gk21_tables():
     # the 21 nodes in ascending order, and each rule's weights on them, as
     # arrays built on first use: importing the package loads no numpy
-    import numpy as np
-
     xgk = np.array(_XGK)
     nodes = np.concatenate([-xgk, xgk[-2::-1]])
     kronrod, gauss = (np.concatenate([w, w[-2::-1]]) for w in map(np.array, (_WGK, _WG)))
@@ -141,8 +139,6 @@ def _gk21(f, lo, hi):
     # each component's integral and QUADPACK error estimate on each panel
     # [lo, hi]: arrays (components, panels), and the round-off floor that
     # bisection cannot lower
-    import numpy as np
-
     nodes, w_kronrod, w_gauss = _gk21_tables()
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
@@ -168,8 +164,6 @@ def certified_gk21(f, a, b, what, rtol, floor, *, epsabs, epsrel, limit):
     is not.  Returns each component's value and summed error estimate,
     the values only if :func:`certify` accepts them all.
     """
-    import numpy as np
-
     lo, hi = np.array([float(a)]), np.array([float(b)])
     # non-finite values and estimates are left to certify, which rejects them
     with np.errstate(all="ignore"):

@@ -1,6 +1,7 @@
 """Command-line surface: config handling, determinism, exit codes."""
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -556,6 +557,34 @@ def test_importing_the_package_and_building_the_parser_loads_no_numpy():
         "print('numpy' in sys.modules)\n"
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+def test_numpy_is_imported_by_the_np_module_alone():
+    # every other module reads numpy through `from . import _np as np`
+    importers, type_checking = set(), set()
+    for path in (Path(__file__).parents[1] / "src" / "atombath").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            imported = []
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] + [alias.name for alias in node.names]
+            if any(name.split(".")[0] == "numpy" for name in imported):
+                importers.add(path.name)
+            if "TYPE_CHECKING" in imported or getattr(node, "id", None) == "TYPE_CHECKING":
+                type_checking.add(path.name)
+    assert (importers, type_checking) == ({"_np.py"}, set())
+
+
+def test_dunder_probes_load_no_numpy():
+    # an import's __path__ probe and inspect's __wrapped__ are refused without
+    # importing numpy or building dynamics' arrays
+    done = _python(
+        "import sys, atombath, atombath._np, atombath.dynamics\n"
+        "print(hasattr(atombath._np, '__path__'), hasattr(atombath.dynamics, '__wrapped__'),\n"
+        "      hasattr(atombath, '__wrapped__'), 'numpy' in sys.modules)\n"
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False False False False\n", "")
 
 
 @pytest.mark.parametrize(

@@ -111,6 +111,20 @@ def test_lindblad_coefficients_derived_rates():
         LindbladCoefficients(gamma=1.0, n=1e308, omega_eff=1.0)
 
 
+@pytest.mark.parametrize(
+    "gamma, n, omega_eff, what",
+    [
+        (1.0, 0.5, math.nan, "omega_eff"),
+        (1.0, 0.5, math.inf, "omega_eff"),
+        (1.0, 0.5, -math.inf, "omega_eff"),
+        (1.0, math.nan, 1.0, "n must"),
+    ],
+)
+def test_lindblad_coefficients_reject_non_finite_rates(gamma, n, omega_eff, what):
+    with pytest.raises(ValueError, match=f"^{what}"):
+        LindbladCoefficients(gamma=gamma, n=n, omega_eff=omega_eff)
+
+
 def test_doppler_shifts_reciprocal():
     for v in (0.0, 0.3, 0.9):
         red, blue = doppler_shifts(v)

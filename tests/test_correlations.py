@@ -59,6 +59,28 @@ def test_query_validation():
     CorrelationQuery(s=1.0, beta=1.0, epsilon=0.1)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_query_rejects_non_finite_distances(r):
+    with pytest.raises(ValueError, match=r"^r must be non-negative and finite"):
+        CorrelationQuery(s=1.0, beta=1.0, r=r)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "correlator",
+    [
+        lambda s: wightman_moving(s, DetectorParams(1.0, 0.1, 0.5), BathParams(1.0)),
+        lambda s: wightman_derivative(s, DetectorParams(1.0, 0.1, 0.0), BathParams(1.0)),
+        lambda s: wightman_static(CorrelationQuery(s=s, beta=1.0, r=0.5)),
+    ],
+    ids=["moving", "derivative", "static"],
+)
+def test_correlators_reject_non_finite_separations(s, correlator):
+    # refused, not warned of as a light-cone pole
+    with pytest.raises(ValueError, match=r"^separation s must be finite"):
+        correlator(s)
+
+
 # --- building blocks ---------------------------------------------------------
 
 
@@ -138,6 +160,9 @@ def test_coincidence_term_and_static_identity():
             assert w == pytest.approx(vac + thermal, rel=1e-12)
     with pytest.raises(ValueError):
         wightman_coincidence(0.0, 1.0)
+    for beta in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match=r"^beta must be positive and finite"):
+            wightman_coincidence(1.0, beta)
     with pytest.raises(ValueError):
         wightman_coincidence(1.0, -1.0)
 

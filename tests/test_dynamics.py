@@ -55,13 +55,14 @@ def test_pauli_pair_table():
 
 
 def test_module_serves_exactly_its_built_arrays():
-    # __getattr__ serves the names it lists, each the one cached array, and
+    # __getattr__ serves each name _arrays built as the one cached array, and
     # refuses any other name
     built = dynamics._arrays()
-    assert sorted(dynamics._ARRAY_NAMES) == sorted(built)
-    for name in dynamics._ARRAY_NAMES:
+    assert {"PAULI", "PAULI_PAIR", "_BELL", "_S_ROT", "_S_DOWN", "_S_UP"} <= built.keys()
+    for name in built:
         assert getattr(dynamics, name) is built[name], name
     assert not hasattr(dynamics, "__path__")
+    assert not hasattr(dynamics, "_NO_SUCH_ARRAY")
 
 
 def test_bell_state_tensor():
@@ -106,6 +107,19 @@ def test_check_density_matrix_rejections():
         check_density_matrix(np.eye(3) / 3.0)  # wrong shape
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 3), (2, 1), (1, 0, 0), (1, 3, 2)], ids=str)
+@pytest.mark.parametrize("value", [math.nan, complex(0.0, math.nan)])
+def test_check_density_matrix_rejects_nan_entries(entry, value):
+    # a NaN fails every comparison: only a negated check stops it before
+    # eigvalsh, whose LinAlgError would read as a numerical failure
+    rho = bell_state() if len(entry) == 2 else np.stack([bell_state(), bell_state()])
+    rho[entry] = value
+    where = "state 1: " if len(entry) == 3 else ""
+    with pytest.raises(ValueError, match=f"^{where}matrix is not Hermitian") as info:
+        check_density_matrix(rho)
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
 def test_check_bloch_tensor_rejections():
     u = bloch_from_density(bell_state())
     check_bloch_tensor(u)
@@ -119,6 +133,20 @@ def test_check_bloch_tensor_rejections():
         check_bloch_tensor(over)
     with pytest.raises(ValueError):
         check_bloch_tensor(np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize(
+    "entry, what",
+    [((0, 0), "normalization"), ((2, 1), "components"), ((1, 3, 3), "state 1: components")],
+)
+@pytest.mark.parametrize("call", [check_bloch_tensor, density_from_bloch])
+def test_check_bloch_tensor_rejects_nan_entries(entry, what, call):
+    # density_from_bloch validates through check_bloch_tensor
+    u = bloch_from_density(bell_state())
+    u = u.copy() if len(entry) == 2 else np.stack([u, u])
+    u[entry] = math.nan
+    with pytest.raises(ValueError, match=f"^{what}"):
+        call(u)
 
 
 def test_partial_trace():

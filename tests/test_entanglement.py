@@ -112,6 +112,21 @@ def test_xstate_validation():
         XState(d1=0.25, d2=0.25, d3=0.25, d4=0.25, a23=0.3 + 0j)
 
 
+@pytest.mark.parametrize(
+    "entries, what",
+    [
+        ((math.nan, 0.5, 0.5, 0.0), "populations"),
+        # min() returns 0.0 here, ignoring the NaN after it
+        ((0.5, 0.5, 0.0, math.nan), "populations"),
+        ((0.5, 0.0, 0.0, 0.5, complex(math.nan, 0.0)), "outer coherence"),
+        ((0.0, 0.5, 0.5, 0.0, 0j, complex(0.0, math.nan)), "inner coherence"),
+    ],
+)
+def test_xstate_rejects_nan_entries(entries, what):
+    with pytest.raises(ValueError, match=f"^{what}"):
+        XState(*entries)
+
+
 def test_from_matrix_rejects_stray_entries():
     rho = bell_state()
     rho = rho.copy()
