@@ -19,6 +19,7 @@ import cmath
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -390,6 +391,10 @@ _COMMANDS = {
 
 # the text json writes for the non-finite values: inf as a string, nan as NaN
 _JSON_NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": "NaN"}
+# the {:.12} texts render_json rewrites, anchored on a key's closing '": ' and
+# the line end so that only values match; e-308 also takes a few normals, which
+# come back unchanged
+_JSON_REPR_DIFFERS = r'": (-?[\d.]+e(?:\+1[1-5]|-30[89]|-3[12]\d)|-?inf|nan)(?=,?\n)'
 
 
 def render_csv(cols: tuple[str, ...], rows: list[list[float]]) -> str:
@@ -406,16 +411,28 @@ def render_json(cols: tuple[str, ...], rows: list[list[float]]) -> str:
 
     Each float is the shortest ``repr`` of its 12-significant-digit value;
     inf and -inf are the strings ``"inf"`` and ``"-inf"``, nan is ``NaN``.
-    ``cols`` are distinct, and every row holds one value per column.
+    ``cols`` are distinct, and every row holds one float per column.
+
+    The whole table is one ``str.format`` of one object template per row,
+    each value written once as ``{:.12}``.  For a normal double that text
+    is already the ``repr``: no other decimal of 12 digits or fewer rounds
+    to the same double.  The two differ only for exponents +11 to +15
+    (``.12`` turns to exponent form there, ``repr`` at +16), subnormals
+    (fewer digits round-trip) and inf/nan; one ``re.sub`` rewrites those.
     """
     if not rows:
         return "[]\n"
-    fixed = ("%.11e " * (len(cols) * len(rows)) % tuple(chain.from_iterable(rows))).split()
-    texts = list(map(repr, map(float, fixed)))
-    values = tuple(map(_JSON_NON_FINITE.get, texts, texts))
-    keys = [json.dumps(c).replace("%", "%%") for c in cols]
-    template = "  {\n" + ",\n".join([f"    {k}: %s" for k in keys]) + "\n  }"
-    return "[\n" + ",\n".join([template] * len(rows)) % values + "\n]\n"
+    keys = [json.dumps(c).replace("{", "{{").replace("}", "}}") for c in cols]
+    template = "  {{\n" + ",\n".join([f"    {k}: {{:.12}}" for k in keys]) + "\n  }}"
+    text = ",\n".join([template] * len(rows)).format(*chain.from_iterable(rows))
+    # a string pattern: re's cache compiles it on the first call, not at import
+    text = re.sub(_JSON_REPR_DIFFERS, _json_repr, text)
+    return "[\n" + text + "\n]\n"
+
+
+def _json_repr(match: re.Match) -> str:
+    text = repr(float(match[1]))
+    return '": ' + _JSON_NON_FINITE.get(text, text)
 
 
 @functools.cache  # one parser per process: parse_args leaves it as it was

@@ -177,8 +177,8 @@ def thermal_sin_transform(p: float | complex, beta: float) -> float | complex:
     cancels the subtraction exactly) and is evaluated through a short
     series, which takes over below ``|pi p / beta| = 0.1``.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    if not (0.0 < beta < math.inf and abs(p) < math.inf):
+        raise ValueError(f"beta must be positive and finite, p finite, got beta={beta!r}, p={p!r}")
     y = math.pi * p / beta
     if abs(y) < _SERIES_RADIUS:
         return math.pi / (2.0 * beta) * (y * _series(_T_SERIES, y * y))
@@ -187,8 +187,10 @@ def thermal_sin_transform(p: float | complex, beta: float) -> float | complex:
 
 def vacuum_wightman(s: float, epsilon: float, r: float = 0.0) -> complex:
     """Regularized vacuum kernel ``-1/(4 pi^2 ((s - i eps)^2 - r^2))``."""
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not (0.0 < epsilon < math.inf and abs(s) < math.inf):
+        raise ValueError(
+            f"epsilon must be positive and finite, s finite, got epsilon={epsilon!r}, s={s!r}"
+        )
     sc = complex(s, -epsilon)
     return -1.0 / (FOUR_PI2 * (sc * sc - r * r))
 
@@ -250,8 +252,8 @@ def wightman_static(query: CorrelationQuery) -> complex:
     complex shifted and a :class:`PoleProximityWarning` is emitted.
     """
     s, r, beta, eps = query.s, query.r, query.beta, query.epsilon
-    vac = vacuum_wightman(s, eps, r)
     s_eval = _pole_shift(s, eps, r)
+    vac = vacuum_wightman(s, eps, r)
     if r == 0.0:
         return vac + complex(_coincidence_correction(s_eval, beta))
     tst = thermal_sin_transform

@@ -155,19 +155,33 @@ def test_wightman_golden_reproduces(coupling, tmp_path):
     "argv, golden",
     [
         (
-            ["coeffs", "--beta-omega", "0.01,0.5,5,50", "--velocity", "0,1e-5,0.5,0.99"],
+            ["coeffs", "--beta-omega", "0.01,0.5,5,50", "--velocity", "0,1e-5,0.5,0.99"]
+            + ["--oracle"],
             "coeffs_oracle_golden.csv",
         ),
         (
             ["death-time", "--coupling", "td", "--beta-omega", "0.01,0.5,5,50,800"]
-            + ["--velocity", "0,1e-5,0.5,0.99", "--format", "json"],
+            + ["--velocity", "0,1e-5,0.5,0.99", "--oracle", "--format", "json"],
             "death_time_td_golden.json",
         ),
         # v = 0 death times where n = e^-beta_omega is normal (699, 705),
         # subnormal (720, 740) and 0 (746)
         (
-            ["death-time", "--beta-omega", "699,705,720,740,746", "--velocity", "0,0.01"],
+            ["death-time", "--beta-omega", "699,705,720,740,746", "--velocity", "0,0.01"]
+            + ["--oracle"],
             "death_time_cold_golden.csv",
+        ),
+        # the closed forms alone, as JSON: the goldens the numpy-free CI step reads
+        (
+            ["concurrence", "--config", str(FIXTURES / "fig1c.cfg"), "--format", "json"],
+            "fig1c_golden.json",
+        ),
+        # occupations from 1e14 down to 1.06e11, which repr writes in fixed
+        # notation, and the subnormals 4.2e-322, 3.26e-322 and 1.6e-322
+        (
+            ["coeffs", "--beta-omega", "1e-14,1e-12,740,1000", "--velocity", "0,0.3,0.99"]
+            + ["--format", "json"],
+            "coeffs_edges_golden.json",
         ),
     ],
 )
@@ -175,7 +189,7 @@ def test_oracle_golden_reproduces(argv, golden, tmp_path):
     # the v = 1e-5 Taylor branch, a frozen bath (four inf death times) and
     # both oracles, across the CSV and JSON renderers
     out = tmp_path / "regen"
-    assert main(argv + ["--oracle", "--output", str(out)]) == 0
+    assert main(argv + ["--output", str(out)]) == 0
     assert out.read_bytes() == (FIXTURES / golden).read_bytes()
 
 
@@ -203,25 +217,33 @@ def _reference_json(cols, rows):
 
 
 # where repr leaves fixed notation (1e-4 / 1e-5, 1e16), the float ends,
-# signed zeros, the non-finite values and whole numbers
+# signed zeros, the non-finite values and whole numbers; where 12 digits
+# in general format leave fixed notation (1e11) and repr does not, values
+# that round up to a whole number, and the subnormals and their border
 _RENDER_EDGES = st.sampled_from(
     [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]
     + [1e-4, 9.99999999999e-5, 1.00000000001e-4, 1e-5, 9.99999999995e-5, -1e-4]
     + [1e16, 9.999999999995e15, 1.00000000001e16, -1e16, 1e15, 1234567.0, -42.0]
+    + [1e11, 99999999999.99, 1.5e13, -1.23456789012e15, 9.9999999999995e15]
+    + [99.9999999999996, 4.35e-322, 1e-310, 2.2250738585072014e-308, 2.225073858507e-308]
 )
 _RENDER_VALUES = st.one_of(
     _RENDER_EDGES,
     st.floats(),
     st.floats(min_value=1e-6, max_value=1e-3),
     st.floats(min_value=1e15, max_value=1e17),
+    st.floats(min_value=1e10, max_value=1e17),
+    st.floats(min_value=-1e17, max_value=-1e10),
+    st.floats(min_value=0.0, max_value=2.3e-308),
+    st.floats(min_value=-2.3e-308, max_value=-0.0),
     st.integers(-(10**12), 10**12).map(float),
 )
 
 
 @st.composite
 def _table(draw):
-    # any text as column names: json escapes them, and "%" must not upset
-    # a format template
+    # any text as column names: json escapes them, and "%", "{" and "}"
+    # must not upset a format template
     cols = draw(st.lists(st.text(max_size=6), min_size=1, max_size=8, unique=True))
     row = st.lists(_RENDER_VALUES, min_size=len(cols), max_size=len(cols))
     return tuple(cols), draw(st.lists(row, max_size=50))
@@ -231,6 +253,7 @@ def _table(draw):
 @given(table=_table())
 @example(table=(("a",), []))
 @example(table=(("x%s", "%d"), [[math.inf, -math.inf], [math.nan, -0.0]]))
+@example(table=(("{", "}}", "{0}", "%s"), [[1e11, 4.35e-322, -math.inf, math.nan]]))
 def test_renderers_match_the_per_value_reference(table):
     cols, rows = table
     assert cli.render_csv(cols, rows) == _reference_csv(cols, rows)
@@ -261,6 +284,15 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
             ["death-time", "--coupling", "td", "--beta-omega", "0.01,0.5,5,50,800"]
             + ["--velocity", "0,1e-5,0.5,0.99", "--oracle", "--format", "json"],
             "death_time_td_golden.json",
+        ),
+        (
+            ["concurrence", "--config", str(FIXTURES / "fig1c.cfg"), "--format", "json"],
+            "fig1c_golden.json",
+        ),
+        (
+            ["coeffs", "--beta-omega", "1e-14,1e-12,740,1000", "--velocity", "0,0.3,0.99"]
+            + ["--format", "json"],
+            "coeffs_edges_golden.json",
         ),
     ]
     for argv, golden in runs:

@@ -94,6 +94,22 @@ def test_vacuum_wightman_closed_form():
         vacuum_wightman(1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: thermal_sin_transform(1.0, math.inf), r"^beta must be positive and finite"),
+        (lambda: thermal_sin_transform(math.nan, 1.0), r"p finite, got beta=1.0, p=nan$"),
+        (lambda: vacuum_wightman(1.0, math.inf), r"^epsilon must be positive and finite"),
+        (lambda: vacuum_wightman(math.nan, 1e-3), r"s finite, got epsilon=0.001, s=nan$"),
+    ],
+    ids=["sin-transform-beta-inf", "sin-transform-p-nan", "vacuum-epsilon-inf", "vacuum-s-nan"],
+)
+def test_correlator_helpers_reject_non_finite_input(call, message):
+    # each returned a number (0.0, nan, nan+nanj, nan+nanj) in place of an error
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_thermal_sin_transform_closed_form_and_quadrature():
     from scipy.integrate import quad
 
