@@ -277,20 +277,23 @@ def _run_concurrence(cfg: ScanConfig):
     unit = rate_unit(DetectorParams(cfg.omega, cfg.coupling_strength, 0.0, cfg.coupling, cfg.v_max))
     if not cfg.tau[1] / unit < math.inf:
         raise ConfigError(f"tau: stop {cfg.tau[1]!r} over the rate unit {unit!r} overflows")
+    taus = [t / unit for t in grid]
     for bw, v, bath, det in _blocks(cfg):
         coeffs = lindblad_coefficients(det, bath)
-        wootters = _wootters(coeffs, grid, unit) if cfg.oracle else None
-        for t in grid:
-            closed = concurrence_closed_form(coeffs, t / unit)
-            # each row built whole: a list grown by append keeps spare slots
-            yield [bw, v, t, closed] if wootters is None else [bw, v, t, closed, next(wootters)]
+        closed = concurrence_closed_form(coeffs, taus)
+        # each row built whole: a list grown by append keeps spare slots
+        if cfg.oracle:
+            rows = zip(grid, closed, _wootters(coeffs, taus))
+            yield from [[bw, v, t, c, o] for t, c, o in rows]
+        else:
+            yield from [[bw, v, t, c] for t, c in zip(grid, closed)]
 
 
-def _wootters(coeffs: LindbladCoefficients, grid: list[float], unit: float):
+def _wootters(coeffs: LindbladCoefficients, taus: list[float]):
     # Wootters concurrence of the evolved pair along the grid: one stacked
     # state and one batched eigensolve per slice of _ORACLE_SLICE points
-    for lo in range(0, len(grid), _ORACLE_SLICE):
-        tau = np.array(grid[lo : lo + _ORACLE_SLICE]) / unit
+    for lo in range(0, len(taus), _ORACLE_SLICE):
+        tau = np.array(taus[lo : lo + _ORACLE_SLICE])
         yield from concurrence(shared_state(coeffs, tau)).tolist()
 
 
@@ -319,33 +322,33 @@ def _run_wightman(cfg: ScanConfig):
     if cfg.coupling is Coupling.UDW:
         closed, oracle = wightman_moving, _mode_sum_column
     else:
-        closed, oracle = wightman_derivative, _finite_difference_column
+        closed, oracle = wightman_derivative, wightman_derivative_fd
     grid = _grid(cfg.tau)
     for bw, v, bath, det in _blocks(cfg):
         checks = oracle(grid, det, bath, cfg.epsilon) if cfg.oracle else None
-        for s in grid:
-            w = _finite(closed(s, det, bath, cfg.epsilon), bw, v, s)
-            row = [bw, v, s, w.real, w.imag + 0.0]  # + 0.0: no -0 at the pole
-            if checks is not None:
-                w = _finite(next(checks), bw, v, s)
-                row += [w.real, w.imag]
-            yield row
+        ws = closed(grid, det, bath, cfg.epsilon)
+        # + 0.0: no -0 at the pole
+        if checks is None:
+            _finite(bw, v, grid, ws)
+            yield from [[bw, v, s, w.real, w.imag + 0.0] for s, w in zip(grid, ws)]
+        else:
+            _finite(bw, v, grid, ws, checks)
+            rows = zip(grid, ws, checks)
+            yield from [[bw, v, s, w.real, w.imag + 0.0, o.real, o.imag] for s, w, o in rows]
 
 
-def _finite(w: complex, bw: float, v: float, s: float) -> complex:
-    if not cmath.isfinite(w):  # a numerical failure (exit 3), never a printed row
+def _finite(bw: float, v: float, grid: list[float], *columns: list[complex]) -> None:
+    # a non-finite W is a numerical failure (exit 3), never a printed row; the
+    # error names the first, row by row and the closed form's first in a row
+    if not all(all(map(cmath.isfinite, column)) for column in columns):
+        bad = ((s, w) for s, *row in zip(grid, *columns) for w in row if not cmath.isfinite(w))
+        s, w = next(bad)
         raise ArithmeticError(f"W = {w!r} is not finite at beta_omega={bw!r}, v={v!r}, s={s!r}")
-    return w
 
 
 def _mode_sum_column(grid: list[float], det: DetectorParams, bath: BathParams, epsilon):
     # the udw oracle of a whole (beta_omega, v) block: one vectorised call
-    return iter(wightman_moving_quadrature(np.array(grid), det, bath, epsilon).tolist())
-
-
-def _finite_difference_column(grid: list[float], det: DetectorParams, bath: BathParams, epsilon):
-    # the td oracle, point by point as the rows ask for it
-    return (wightman_derivative_fd(s, det, bath, epsilon) for s in grid)
+    return wightman_moving_quadrature(np.array(grid), det, bath, epsilon).tolist()
 
 
 class _Command(NamedTuple):

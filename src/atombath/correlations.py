@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 FOUR_PI2 = 4.0 * math.pi ** 2
+_TWO_PI2 = 2.0 * math.pi ** 2
 
 DEFAULT_EPSILON_FRACTION = 1e-3
 
@@ -179,6 +180,11 @@ def thermal_sin_transform(p: float | complex, beta: float) -> float | complex:
     """
     if not (0.0 < beta < math.inf and abs(p) < math.inf):
         raise ValueError(f"beta must be positive and finite, p finite, got beta={beta!r}, p={p!r}")
+    return _tst(p, beta)
+
+
+def _tst(p, beta: float):
+    # thermal_sin_transform, unchecked
     y = math.pi * p / beta
     if abs(y) < _SERIES_RADIUS:
         return math.pi / (2.0 * beta) * (y * _series(_T_SERIES, y * y))
@@ -191,6 +197,11 @@ def vacuum_wightman(s: float, epsilon: float, r: float = 0.0) -> complex:
         raise ValueError(
             f"epsilon must be positive and finite, s finite, got epsilon={epsilon!r}, s={s!r}"
         )
+    return _vacuum(s, epsilon, r)
+
+
+def _vacuum(s: float, epsilon: float, r: float = 0.0) -> complex:
+    # vacuum_wightman, unchecked
     sc = complex(s, -epsilon)
     return -1.0 / (FOUR_PI2 * (sc * sc - r * r))
 
@@ -260,25 +271,29 @@ def wightman_static(query: CorrelationQuery) -> complex:
     return vac + (tst(s_eval + r, beta) - tst(s_eval - r, beta)) / (FOUR_PI2 * r)
 
 
-def _worldline(s: float, detector: DetectorParams, bath: BathParams, epsilon):
-    # shared by wightman_moving and wightman_derivative: the regulator,
-    # the separation (shifted near the pole), and the Doppler window
-    # (red, blue, prefactor), None below _V_STATIC
+def _worldline(s, detector: DetectorParams, bath: BathParams, epsilon):
+    # shared by wightman_moving and wightman_derivative, once per list (a float is
+    # a list of one): the list, the regulator, the list shifted near the pole,
+    # and the Doppler window (red, blue, prefactor), None below _V_STATIC
+    grid = s if isinstance(s, list) else [s]
     eps = _resolve_epsilon(bath.beta, epsilon)
-    s_eval = _pole_shift(s, eps)
+    if not all(map(math.isfinite, grid)):
+        _pole_shift(next(x for x in grid if not math.isfinite(x)), eps)  # raises
+    near = eps / 10.0
+    shifted = [x if abs(x) >= near else _pole_shift(x, eps) for x in grid]
     v = detector.velocity
     if v < _V_STATIC:
-        return eps, s_eval, None
+        return grid, eps, shifted, None
     red, blue = doppler_shifts(v)
-    return eps, s_eval, (red, blue, math.sqrt(1.0 - v * v) / (FOUR_PI2 * v))
+    return grid, eps, shifted, (red, blue, math.sqrt(1.0 - v * v) / (FOUR_PI2 * v))
 
 
 def wightman_moving(
-    s: float,
+    s: float | list[float],
     detector: DetectorParams,
     bath: BathParams,
     epsilon: float | None = None,
-) -> complex:
+) -> complex | list[complex]:
     """Thermal correlation along the moving detector's worldline.
 
     ``s`` is the proper-time separation.  The thermal mode sum seen by
@@ -289,16 +304,20 @@ def wightman_moving(
     and collapses to the static ``r = 0`` form below ``v = 1e-6``.
     Emits :class:`PoleProximityWarning` within ``epsilon/10`` of the
     coincidence pole.
+
+    ``s`` is a float, which gives a complex, or a list of floats, which gives
+    a list: the regulator, the Doppler window and the checks are done once
+    per list, and each value equals the float call's.
     """
     beta = bath.beta
-    eps, s_eval, window = _worldline(s, detector, bath, epsilon)
+    grid, eps, shifted, window = _worldline(s, detector, bath, epsilon)
     if window is None:
-        th = _coincidence_correction(s_eval, beta)
+        th = [_coincidence_correction(y, beta) for y in shifted]
     else:
         red, blue, c = window
-        tst = thermal_sin_transform
-        th = c * (tst(blue * s_eval, beta) - tst(red * s_eval, beta)) / s_eval
-    return vacuum_wightman(s, eps) + complex(th)
+        th = [c * (_tst(blue * y, beta) - _tst(red * y, beta)) / y for y in shifted]
+    w = [_vacuum(x, eps) + t for x, t in zip(grid, th)]
+    return w if isinstance(s, list) else w[0]
 
 
 def _wtd_thermal_static(s_eval, beta: float):
@@ -310,27 +329,26 @@ def _wtd_thermal_static(s_eval, beta: float):
         return h / beta * h / beta * _series(_STATIC_TD_SERIES, x * x)
     c2, ct = _csch2(x), _coth(x)
     # csch^2 goes in first, so that where it has vanished nothing overflows
-    tail = -3.0 / (2.0 * math.pi ** 2 * s_eval ** 4)
+    tail = -3.0 / (_TWO_PI2 * s_eval ** 4)
     return tail + c2 * h / beta * h / beta * (4.0 * ct * ct + 2.0 * c2)
 
 
-def _g2(s_eval, d: float, beta: float):
-    # second s-derivative of T(d*s)/s: the series where |y*s| is inside
-    # the radius, else the closed hyperbolic T
-    y = math.pi * d / beta
+def _g2(s_eval, d: float, y: float, h: float):
+    # second s-derivative of T(d*s)/s, with y = pi d/beta and h = pi/(2 beta):
+    # the series where |y*s| is inside the radius, else the closed hyperbolic T
     if abs(y * s_eval) < _SERIES_RADIUS:
-        return math.pi / (2.0 * beta) * y ** 3 * _series(_G2_SERIES, (y * s_eval) ** 2)
+        return h * y ** 3 * _series(_G2_SERIES, (y * s_eval) ** 2)
     c2, ct, s2 = _csch2(y * s_eval), _coth(y * s_eval), s_eval * s_eval
     inner = 2.0 * y * y * c2 * ct / s_eval + 2.0 * y * c2 / s2 + 2.0 * ct / (s2 * s_eval)
-    return math.pi / (2.0 * beta) * inner - 3.0 / (d * s2 * s2)
+    return h * inner - 3.0 / (d * s2 * s2)
 
 
 def wightman_derivative(
-    s: float,
+    s: float | list[float],
     detector: DetectorParams,
     bath: BathParams,
     epsilon: float | None = None,
-) -> complex:
+) -> complex | list[complex]:
     """Correlation of the field's proper-time derivative along the worldline.
 
     Minus the second ``s``-derivative of :func:`wightman_moving`,
@@ -338,21 +356,24 @@ def wightman_derivative(
     ``3/(2 pi^2 (s - i eps)^4)`` and the thermal part differentiates the
     hyperbolic mode sum analytically.  The large-``s`` power tails of
     the two parts cancel, leaving the expected exponential decay.
+
+    ``s`` is a float or a list of floats, as for :func:`wightman_moving`.
     """
     beta = bath.beta
-    eps, s_eval, window = _worldline(s, detector, bath, epsilon)
+    grid, eps, shifted, window = _worldline(s, detector, bath, epsilon)
     if window is None:
-        th = _wtd_thermal_static(s_eval, beta)
+        th = [_wtd_thermal_static(y, beta) for y in shifted]
     else:
         red, blue, c = window
-        th = -c * (_g2(s_eval, blue, beta) - _g2(s_eval, red, beta))
-    return 3.0 / (2.0 * math.pi ** 2 * complex(s, -eps) ** 4) + complex(th)
+        h, y_red, y_blue = math.pi / (2.0 * beta), math.pi * red / beta, math.pi * blue / beta
+        th = [-c * (_g2(y, blue, y_blue, h) - _g2(y, red, y_red, h)) for y in shifted]
+    w = [3.0 / (_TWO_PI2 * complex(x, -eps) ** 4) + t for x, t in zip(grid, th)]
+    return w if isinstance(s, list) else w[0]
 
 
 # --- brute-force cross-checks ------------------------------------------------
 
 _KMAX_THERMAL = 60.0  # modes above 60/beta are suppressed below 1e-26
-_TWO_PI2 = 2.0 * math.pi ** 2
 # separations per panel-kernel call: at its cap of 1000 panels, 96 x 1000
 # panels x 21 nodes x 8 B of integrand values is 16 MB, whatever the grid
 _MODE_SUM_SLICE = 96
@@ -436,30 +457,32 @@ def wightman_moving_quadrature(
 
 
 def wightman_derivative_fd(
-    s: float,
+    s: float | list[float],
     detector: DetectorParams,
     bath: BathParams,
     epsilon: float | None = None,
-) -> complex:
+) -> complex | list[complex]:
     """Five-point finite-difference cross-check of :func:`wightman_derivative`.
 
     Applies minus the central second-difference stencil to
     :func:`wightman_moving`; the step ``1e-4 * beta`` balances truncation
-    against cancellation for separations of order ``beta``.
+    against cancellation for separations of order ``beta``.  ``s`` is a
+    float or a list of floats: a list takes five list calls of
+    :func:`wightman_moving`, one per stencil point.
     """
+    grid = s if isinstance(s, list) else [s]
     h = 1e-4 * bath.beta
-
-    def f(x: float) -> complex:
-        return wightman_moving(x, detector, bath, epsilon)
-
-    second = (
-        -f(s - 2.0 * h)
-        + 16.0 * f(s - h)
-        - 30.0 * f(s)
-        + 16.0 * f(s + h)
-        - f(s + 2.0 * h)
-    ) / (12.0 * h * h)
-    return -second
+    # x + (-2h) is x - 2h to the bit
+    w = [
+        wightman_moving(grid if d is None else [x + d for x in grid], detector, bath, epsilon)
+        for d in (-2.0 * h, -h, None, h, 2.0 * h)
+    ]
+    den = 12.0 * h * h
+    fd = [
+        -((-m2 + 16.0 * m1 - 30.0 * m0 + 16.0 * p1 - p2) / den)
+        for m2, m1, m0, p1, p2 in zip(*w)
+    ]
+    return fd if isinstance(s, list) else fd[0]
 
 
 def markov_diagnostic(detector: DetectorParams, bath: BathParams) -> MarkovDiagnostic:

@@ -104,13 +104,16 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
 
     ``rho`` is one 4x4 matrix or a ``(..., 4, 4)`` stack of them; every
     state in a stack is checked, and an error names the index of the
-    first one that fails.  Hermiticity and unit trace are enforced to
-    1e-12; eigenvalues may dip to -1e-10 before a state is rejected,
-    which leaves room for the roundoff floor of evolved states.
+    first one that fails.  Entries must be finite; Hermiticity and unit
+    trace are enforced to 1e-12; eigenvalues may dip to -1e-10 before a
+    state is rejected, which leaves room for the roundoff floor of
+    evolved states.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
+    # before any arithmetic: inf - inf in the Hermiticity check would warn first
+    _reject_first(~np.isfinite(rho).all(axis=(-2, -1)), lambda i: "matrix has a non-finite entry")
     herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     _reject_first(
         ~(herm <= _HERM_TOL), lambda i: f"matrix is not Hermitian: max deviation {herm[i]:.3e}"

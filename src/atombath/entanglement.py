@@ -147,7 +147,9 @@ def concurrence_xstate(x: XState) -> float:
     return 2.0 * max(0.0, outer, inner)
 
 
-def concurrence_closed_form(coeffs: LindbladCoefficients, tau: float) -> float:
+def concurrence_closed_form(
+    coeffs: LindbladCoefficients, tau: float | list[float]
+) -> float | list[float]:
     """Concurrence of the evolved Bell pair at proper time ``tau``.
 
     The coherence decays at ``a/2`` while the population product grows
@@ -157,15 +159,20 @@ def concurrence_closed_form(coeffs: LindbladCoefficients, tau: float) -> float:
 
     ``k = sqrt(a^2 - b^2) = 2 gamma sqrt(n (n+1))``.  Independent of
     ``omega_eff``: the rotation is local and drops out.
+
+    ``tau`` is a float, which gives a float, or a list of floats, which gives
+    a list: ``k`` and the checks are done once per list, and each value
+    equals the float call's.
     """
-    if not tau >= 0.0:
-        raise ValueError(f"tau must be non-negative, got {tau!r}")
+    taus = tau if isinstance(tau, list) else [tau]
+    if taus and not (all(map(math.isfinite, taus)) and min(taus) >= 0.0):
+        bad = next(t for t in taus if not 0.0 <= t < math.inf)
+        raise ValueError(f"tau must be non-negative and finite, got {bad!r}")
     a = coeffs.a
     k = 2.0 * coeffs.gamma * _sqrt_n_n1(coeffs.n)
-    return max(
-        0.0,
-        math.exp(-0.5 * a * tau) - (1.0 - math.exp(-a * tau)) * k / (2.0 * a),
-    )
+    half, neg, two_a, exp = -0.5 * a, -a, 2.0 * a, math.exp
+    c = [max(0.0, exp(half * t) - (1.0 - exp(neg * t)) * k / two_a) for t in taus]
+    return c if isinstance(tau, list) else c[0]
 
 
 def _sqrt_n_n1(n: float) -> float:

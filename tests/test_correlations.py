@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atombath import correlations
-from atombath.coefficients import BathParams, DetectorParams, doppler_shifts
+from atombath.coefficients import BathParams, Coupling, DetectorParams, doppler_shifts
 from atombath.correlations import (
     MARKOV_MIN_TEMP_RATIO,
     CorrelationQuery,
@@ -487,6 +487,71 @@ def test_pole_warning_fires_once_at_the_callers_line(query):
         query()
     assert [w.category for w in caught] == [PoleProximityWarning]
     assert caught[0].filename == __file__
+
+
+# --- list form ------------------------------------------------------------------
+
+
+_CLOSED_FORMS = {"udw": wightman_moving, "td": wightman_derivative}
+
+
+def _switch_grid(beta, v):
+    # separations on both sides of every _SERIES_RADIUS switch the closed
+    # forms meet at this speed (|pi d s/beta| = 0.1 for d = 1, red, blue),
+    # plus a spread of ordinary ones and their negatives
+    factors = (1.0,) if v < correlations._V_STATIC else doppler_shifts(v)
+    grid = [0.1 * beta, 0.7 * beta, 2.0 * beta, 30.0 * beta]
+    for d in factors:
+        edge = correlations._SERIES_RADIUS * beta / (math.pi * d)
+        grid += [edge * (1.0 - 1e-9), edge, edge * (1.0 + 1e-9)]
+    return grid + [-s for s in grid]
+
+
+@pytest.mark.parametrize("coupling", ["udw", "td"])
+@pytest.mark.parametrize("v", [0.0, 1e-7, 0.5, 0.99])
+@pytest.mark.parametrize("beta", [0.01, 1.0, 100.0])
+def test_a_list_of_separations_gives_the_float_calls_values(beta, v, coupling):
+    det, bath = DetectorParams(1.0, 1.0, v, Coupling(coupling)), BathParams(beta)
+    grid = _switch_grid(beta, v)
+    closed = _CLOSED_FORMS[coupling]
+    assert closed(grid, det, bath) == [closed(s, det, bath) for s in grid]
+    fd_grid = grid[:3] + grid[-3:]  # five closed forms per point
+    assert wightman_derivative_fd(fd_grid, det, bath) == [
+        wightman_derivative_fd(s, det, bath) for s in fd_grid
+    ]
+
+
+@pytest.mark.parametrize(
+    "call", [wightman_moving, wightman_derivative, wightman_derivative_fd],
+    ids=["moving", "derivative", "fd"],
+)
+def test_a_list_near_the_pole_warns_and_shifts_as_the_float_calls_do(call):
+    det, bath = _detector(0.5), BathParams(beta=1.0)
+    grid = [0.0, 5e-5, 0.3, -2e-5, 1.2]  # three within eps/10 = 1e-4 of the pole
+    with warnings.catch_warnings(record=True) as listed:
+        warnings.simplefilter("always")
+        values = call(grid, det, bath)
+    with warnings.catch_warnings(record=True) as single:
+        warnings.simplefilter("always")
+        expected = [call(s, det, bath) for s in grid]
+    assert values == expected
+    assert len(listed) == len(single) > 0
+    assert {w.category for w in listed} == {PoleProximityWarning}
+    assert all(w.filename == __file__ for w in listed)
+
+
+@pytest.mark.parametrize(
+    "call", [wightman_moving, wightman_derivative, wightman_derivative_fd],
+    ids=["moving", "derivative", "fd"],
+)
+def test_a_list_is_refused_if_any_separation_is_not_finite(call):
+    det, bath = _detector(0.5), BathParams(beta=1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^separation s must be finite, got "):
+            call([0.5, 1.0, bad, 2.0], det, bath)
+    assert call([], det, bath) == []
+    with pytest.raises(ValueError, match=r"^epsilon must lie in"):
+        call([], det, bath, 0.5)  # the regulator is checked even for no separations
 
 
 def test_markov_diagnostic():

@@ -108,15 +108,21 @@ def test_check_density_matrix_rejections():
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (2, 1), (1, 0, 0), (1, 3, 2)], ids=str)
-@pytest.mark.parametrize("value", [math.nan, complex(0.0, math.nan)])
-def test_check_density_matrix_rejects_nan_entries(entry, value):
-    # a NaN fails every comparison: only a negated check stops it before
-    # eigvalsh, whose LinAlgError would read as a numerical failure
+@pytest.mark.parametrize(
+    "value", [math.nan, complex(0.0, math.nan), math.inf, -math.inf, complex(0.0, math.inf)]
+)
+def test_check_density_matrix_rejects_non_finite_entries(entry, value):
+    # a NaN fails every comparison, and inf - inf in the Hermiticity check
+    # warned (an error under -W error::RuntimeWarning): non-finite entries are
+    # refused first, never reaching eigvalsh, whose LinAlgError would read as
+    # a numerical failure
     rho = bell_state() if len(entry) == 2 else np.stack([bell_state(), bell_state()])
     rho[entry] = value
     where = "state 1: " if len(entry) == 3 else ""
-    with pytest.raises(ValueError, match=f"^{where}matrix is not Hermitian") as info:
-        check_density_matrix(rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{where}matrix has a non-finite entry$") as info:
+            check_density_matrix(rho)
     assert not isinstance(info.value, np.linalg.LinAlgError)
 
 

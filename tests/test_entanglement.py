@@ -155,6 +155,27 @@ def test_closed_form_tracks_evolved_state():
             concurrence_closed_form(COEFFS, tau)
 
 
+@pytest.mark.parametrize("coupling", list(Coupling))
+@pytest.mark.parametrize("v", [0.0, 1e-7, 0.5, 0.99])
+@pytest.mark.parametrize("beta_omega", [0.01, 1.0, 100.0])
+def test_closed_form_of_a_list_gives_the_float_calls_values(beta_omega, v, coupling):
+    coeffs = lindblad_coefficients(DetectorParams(1.0, 1.0, v, coupling), BathParams(beta_omega))
+    death = sudden_death_time(coeffs)
+    taus = [0.0, 1e-300, 0.5 / coeffs.a, 7.0, 1e3, 1e300]
+    if math.isfinite(death):  # both sides of the zero
+        taus += [death * (1.0 - 1e-9), death, death * (1.0 + 1e-9)]
+    assert concurrence_closed_form(coeffs, taus) == [concurrence_closed_form(coeffs, t) for t in taus]
+
+
+def test_closed_form_of_a_list_refuses_any_bad_tau():
+    for bad in (-1.0, -1e-300, math.nan, math.inf):
+        for tau in (bad, [0.0, 1.0, bad, 2.0]):
+            with pytest.raises(ValueError, match=r"^tau must be non-negative and finite, got "):
+                concurrence_closed_form(COEFFS, tau)
+    assert concurrence_closed_form(COEFFS, []) == []
+    assert concurrence_closed_form(COEFFS, [-0.0]) == [1.0]
+
+
 def test_closed_form_frozen_value():
     assert concurrence_closed_form(COEFFS, 0.5) == pytest.approx(
         0.3328144286126601, rel=1e-12
