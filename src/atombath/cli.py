@@ -22,9 +22,9 @@ import math
 import re
 import sys
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import _np as np
 from .coefficients import (
@@ -273,20 +273,17 @@ def _blocks(cfg: ScanConfig):
 
 def _run_concurrence(cfg: ScanConfig):
     grid = _grid(cfg.tau)
-    # the rate unit depends on neither beta_omega nor v: one check, before any row
+    # the rate unit depends on neither beta_omega nor v: one check, before any block
     unit = rate_unit(DetectorParams(cfg.omega, cfg.coupling_strength, 0.0, cfg.coupling, cfg.v_max))
     if not cfg.tau[1] / unit < math.inf:
         raise ConfigError(f"tau: stop {cfg.tau[1]!r} over the rate unit {unit!r} overflows")
     taus = [t / unit for t in grid]
     for bw, v, bath, det in _blocks(cfg):
         coeffs = lindblad_coefficients(det, bath)
-        closed = concurrence_closed_form(coeffs, taus)
-        # each row built whole: a list grown by append keeps spare slots
+        columns = [concurrence_closed_form(coeffs, taus)]
         if cfg.oracle:
-            rows = zip(grid, closed, _wootters(coeffs, taus))
-            yield from [[bw, v, t, c, o] for t, c, o in rows]
-        else:
-            yield from [[bw, v, t, c] for t, c in zip(grid, closed)]
+            columns.append(list(_wootters(coeffs, taus)))
+        yield (bw, v), grid, columns
 
 
 def _wootters(coeffs: LindbladCoefficients, taus: list[float]):
@@ -301,21 +298,21 @@ def _run_coeffs(cfg: ScanConfig):
     for bw, v, bath, det in _blocks(cfg):
         det_u = replace(det, coupling=Coupling.UDW)
         det_t = replace(det, coupling=Coupling.DERIVATIVE)
-        row = [bw, v, n_udw(det_u, bath), n_td(det_t, bath)]
+        row = [n_udw(det_u, bath), n_td(det_t, bath)]
         row += [gamma_udw(det_u) / rate_unit(det_u), gamma_td(det_t) / rate_unit(det_t)]
         if cfg.oracle:
             row += [n_udw_quadrature(det_u, bath), n_td_quadrature(det_t, bath)]
-        yield row
+        yield (bw, v), None, row
 
 
 def _run_death_time(cfg: ScanConfig):
     for bw, v, bath, det in _blocks(cfg):
         coeffs = lindblad_coefficients(det, bath)
         unit = rate_unit(det)
-        row = [bw, v, sudden_death_time(coeffs) * unit]
+        row = [sudden_death_time(coeffs) * unit]
         if cfg.oracle:
             row.append(sudden_death_time_bisection(coeffs) * unit)
-        yield row
+        yield (bw, v), None, row
 
 
 def _run_wightman(cfg: ScanConfig):
@@ -325,16 +322,14 @@ def _run_wightman(cfg: ScanConfig):
         closed, oracle = wightman_derivative, wightman_derivative_fd
     grid = _grid(cfg.tau)
     for bw, v, bath, det in _blocks(cfg):
-        checks = oracle(grid, det, bath, cfg.epsilon) if cfg.oracle else None
+        checks = [oracle(grid, det, bath, cfg.epsilon)] if cfg.oracle else []
         ws = closed(grid, det, bath, cfg.epsilon)
+        _finite(bw, v, grid, ws, *checks)
         # + 0.0: no -0 at the pole
-        if checks is None:
-            _finite(bw, v, grid, ws)
-            yield from [[bw, v, s, w.real, w.imag + 0.0] for s, w in zip(grid, ws)]
-        else:
-            _finite(bw, v, grid, ws, checks)
-            rows = zip(grid, ws, checks)
-            yield from [[bw, v, s, w.real, w.imag + 0.0, o.real, o.imag] for s, w, o in rows]
+        columns = [[w.real for w in ws], [w.imag + 0.0 for w in ws]]
+        for column in checks:
+            columns += [[o.real for o in column], [o.imag for o in column]]
+        yield (bw, v), grid, columns
 
 
 def _finite(bw: float, v: float, grid: list[float], *columns: list[complex]) -> None:
@@ -351,9 +346,16 @@ def _mode_sum_column(grid: list[float], det: DetectorParams, bath: BathParams, e
     return wightman_moving_quadrature(np.array(grid), det, bath, epsilon).tolist()
 
 
+# one (beta_omega, velocity) block of output: its prefix values, the scan's
+# tau or s grid (the same list in every block) and one list of values per
+# remaining column; or, with None for the grid, one row: the prefix and
+# one value per remaining column
+_Block = tuple[tuple[float, ...], list[float] | None, list]
+
+
 class _Command(NamedTuple):
     help: str
-    run: Callable[[ScanConfig], Iterator[list[float]]]
+    run: Callable[[ScanConfig], Iterator[_Block]]
     cols: tuple[str, ...]
     oracle_cols: tuple[str, ...]  # appended by --oracle
     defaults: dict = {}  # ScanConfig values that replace the built-in defaults (read only)
@@ -400,37 +402,65 @@ _JSON_NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": "NaN"}
 _JSON_REPR_DIFFERS = r'": (-?[\d.]+e(?:\+1[1-5]|-30[89]|-3[12]\d)|-?inf|nan)(?=,?\n)'
 
 
-def render_csv(cols: tuple[str, ...], rows: list[list[float]]) -> str:
-    """A header line, then one line per row of ``%.11e`` values.
+def render_csv(cols: tuple[str, ...], blocks: Iterable[_Block]) -> list[str]:
+    """The header line, then one line of ``%.11e`` values per row.
 
-    The whole table is one ``%`` of one row template, repeated per row.
+    Returns the text as pieces: the header, then one per grid block and
+    one per run of one-row blocks.  A grid block is one ``%`` of its row
+    template, repeated per row, over the axis text and the value columns;
+    its prefix is already in the template.
     """
-    template = ",".join(["%.11e"] * len(cols)) + "\n"
-    return ",".join(cols) + "\n" + template * len(rows) % tuple(chain.from_iterable(rows))
+    pieces = [",".join(cols) + "\n"]
+    for fields, n, values in _layout(blocks, ".11e", "%s", "%.11e"):
+        pieces.append((",".join(fields) + "\n") * n % tuple(values))
+    return pieces
 
 
-def render_json(cols: tuple[str, ...], rows: list[list[float]]) -> str:
+def render_json(cols: tuple[str, ...], blocks: Iterable[_Block]) -> list[str]:
     """The text of ``json.dumps(table, indent=2)`` for one object per row.
 
-    Each float is the shortest ``repr`` of its 12-significant-digit value;
-    inf and -inf are the strings ``"inf"`` and ``"-inf"``, nan is ``NaN``.
-    ``cols`` are distinct, and every row holds one float per column.
+    Returns the text as pieces: one per grid block and one per run of
+    one-row blocks, then one that closes the list.  Each float is the
+    shortest ``repr`` of its 12-significant-digit value; inf and -inf are
+    the strings ``"inf"`` and ``"-inf"``, nan is ``NaN``.  ``cols`` are
+    distinct, every row holds one float per column, and every grid holds
+    at least one point.
 
-    The whole table is one ``str.format`` of one object template per row,
-    each value written once as ``{:.12}``.  For a normal double that text
-    is already the ``repr``: no other decimal of 12 digits or fewer rounds
+    A piece is one ``str.format`` of one object template per row, each
+    value written once as ``{:.12}``.  For a normal double that text is
+    already the ``repr``: no other decimal of 12 digits or fewer rounds
     to the same double.  The two differ only for exponents +11 to +15
     (``.12`` turns to exponent form there, ``repr`` at +16), subnormals
-    (fewer digits round-trip) and inf/nan; one ``re.sub`` rewrites those.
+    (fewer digits round-trip) and inf/nan; one ``re.sub`` per piece
+    rewrites those, in the pre-rendered prefix and axis text as well.
     """
-    if not rows:
-        return "[]\n"
     keys = [json.dumps(c).replace("{", "{{").replace("}", "}}") for c in cols]
-    template = "  {{\n" + ",\n".join([f"    {k}: {{:.12}}" for k in keys]) + "\n  }}"
-    text = ",\n".join([template] * len(rows)).format(*chain.from_iterable(rows))
-    # a string pattern: re's cache compiles it on the first call, not at import
-    text = re.sub(_JSON_REPR_DIFFERS, _json_repr, text)
-    return "[\n" + text + "\n]\n"
+    pieces = []
+    for fields, n, values in _layout(blocks, ".12", "{}", "{:.12}"):
+        row = "  {{\n" + ",\n".join([f"    {k}: {f}" for k, f in zip(keys, fields)]) + "\n  }}"
+        text = ",\n".join([row] * n).format(*values)
+        # a string pattern: re's cache compiles it on the first call, not at import
+        pieces.append((",\n" if pieces else "[\n") + re.sub(_JSON_REPR_DIFFERS, _json_repr, text))
+    pieces.append("\n]\n" if pieces else "[]\n")
+    return pieces
+
+
+def _layout(blocks: Iterable[_Block], spec: str, slot: str, value: str):
+    # each piece of a table as the format fields of its rows, its row count
+    # and the values that fill them: a grid block's prefix rendered into the
+    # fields with spec, its axis rendered with spec once per scan and filled
+    # in at slot
+    shared = axis_text = None
+    for one_row, group in groupby(blocks, lambda block: block[1] is None):
+        if one_row:  # a run of one-row blocks, formatted together with their prefixes
+            rows = [(*prefix, *values) for prefix, _, values in group]
+            yield [value] * len(rows[0]), len(rows), chain.from_iterable(rows)
+            continue
+        for prefix, axis, columns in group:
+            if axis is not shared:
+                shared, axis_text = axis, [format(s, spec) for s in axis]
+            fields = [format(x, spec) for x in prefix] + [slot] + [value] * len(columns)
+            yield fields, len(axis), chain.from_iterable(zip(axis_text, *columns))
 
 
 def _json_repr(match: re.Match) -> str:
@@ -484,15 +514,16 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         command = _COMMANDS[args.command]
         cols = command.cols + (command.oracle_cols if cfg.oracle else ())
-        # rows are collected first: a failure while computing them (exit 2
-        # or 3) must leave stdout empty
-        rows = list(command.run(cfg))
-        text = render_csv(cols, rows) if cfg.format == "csv" else render_json(cols, rows)
+        render = render_csv if cfg.format == "csv" else render_json
+        # every block is rendered before any is written: a failure while
+        # computing one (exit 2 or 3) must leave stdout empty
+        pieces = render(cols, command.run(cfg))
         if cfg.output is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
         else:
             try:
-                Path(cfg.output).write_text(text)
+                with open(cfg.output, "w") as out:
+                    out.writelines(pieces)
             except OSError as exc:
                 raise ConfigError(f"cannot write output file {cfg.output}: {exc}") from None
     # LinAlgError subclasses ValueError, so this clause must come first

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -249,6 +250,28 @@ def _table(draw):
     return tuple(cols), draw(st.lists(row, max_size=50))
 
 
+def _cuts(cols, rows):
+    # the table cut into blocks in each way the writers take, with the rows
+    # those blocks stand for: a prefix of 0-2 columns, then either one-row
+    # blocks without an axis, or blocks of m rows that share one axis list
+    # (the first block's axis column, so every drawn value lands in a
+    # prefix, an axis or a value column somewhere), also between one-row
+    # blocks
+    for w in range(min(3, len(cols))):
+        one_row = [(tuple(row[:w]), None, row[w:]) for row in rows]
+        yield one_row, rows
+        for m in sorted({1, 2, len(rows)} - {0}):
+            axis = [row[w] for row in rows[:m]]
+            chunks = [rows[j : j + m] for j in range(0, len(rows) - m + 1, m)]
+            blocks = [
+                (tuple(chunk[0][:w]), axis, [list(c) for c in zip(*chunk)][w + 1 :])
+                for chunk in chunks
+            ]
+            shown = [[*p, *row] for p, _, columns in blocks for row in zip(axis, *columns)]
+            yield blocks, shown
+            yield one_row[:1] + blocks + one_row[-1:], rows[:1] + shown + rows[-1:]
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(table=_table())
 @example(table=(("a",), []))
@@ -256,8 +279,12 @@ def _table(draw):
 @example(table=(("{", "}}", "{0}", "%s"), [[1e11, 4.35e-322, -math.inf, math.nan]]))
 def test_renderers_match_the_per_value_reference(table):
     cols, rows = table
-    assert cli.render_csv(cols, rows) == _reference_csv(cols, rows)
-    assert cli.render_json(cols, rows) == _reference_json(cols, rows)
+    for blocks, shown in _cuts(cols, rows):
+        assert "".join(cli.render_csv(cols, blocks)) == _reference_csv(cols, shown)
+        assert "".join(cli.render_json(cols, blocks)) == _reference_json(cols, shown)
+    # no blocks at all: the header alone, an empty JSON list
+    assert cli.render_csv(cols, []) == [_reference_csv(cols, [])]
+    assert cli.render_json(cols, []) == ["[]\n"]
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys):
@@ -344,6 +371,38 @@ def test_oracle_flag_adds_columns(capsys):
     for line in checked[1:]:
         *_, closed, bisected = line.split(",")
         assert float(closed) == pytest.approx(float(bisected), rel=1e-7)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["concurrence", "--tau", "0.05:2:5"],
+        ["wightman", "--coupling", "udw", "--tau", "0.1:3:5"],
+        ["wightman", "--coupling", "td", "--tau", "0.1:3:5"],
+    ],
+)
+def test_oracle_only_appends_columns(argv, fmt, capsys):
+    # every --oracle row is the plain row with the oracle columns after it;
+    # 2 x 2 blocks of 5 rows
+    argv = argv + ["--beta-omega", "0.5,5", "--velocity", "0,0.5", "--format", fmt]
+    extra = cli._COMMANDS[argv[0]].oracle_cols
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--oracle"]) == 0
+    checked = capsys.readouterr().out
+    if fmt == "csv":
+        plain, checked = plain.splitlines(), checked.splitlines()
+        assert len(checked) == len(plain) == 21
+        assert checked[0] == ",".join([plain[0], *extra])
+        for bare, line in zip(plain[1:], checked[1:]):
+            assert line.startswith(bare + ",") and line.count(",") == bare.count(",") + len(extra)
+    else:
+        plain, checked = json.loads(plain), json.loads(checked)
+        assert len(checked) == len(plain) == 20
+        for bare, row in zip(plain, checked):
+            assert {key: row[key] for key in bare} == bare
+            assert list(row)[len(bare) :] == list(extra)
 
 
 def test_wightman_scan_shape(capsys):
@@ -858,6 +917,23 @@ def test_output_file_and_stdout_agree(tmp_path, capsys):
     assert main(args + ["--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text() == streamed
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_memory_follows_the_output_text(fmt, tmp_path):
+    # a 10^5-row scan holds about its output text, not one list per row
+    target = tmp_path / f"scan.{fmt}"
+    argv = ["concurrence", "--beta-omega", "0.5,1,2,5", "--velocity", "0,0.2,0.4,0.6,0.8"]
+    argv += ["--format", fmt, "--output", str(target), "--tau"]
+    assert main(argv + ["0:5:3"]) == 0  # first use of what a scan loads
+    tracemalloc.start()
+    try:
+        assert main(argv + ["0:5:5000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(target.read_text().splitlines()) == (100_001 if fmt == "csv" else 600_002)
+    assert peak <= 1.5 * target.stat().st_size
 
 
 def test_td_death_time_in_a_very_hot_bath(capsys):
