@@ -21,10 +21,10 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
-from itertools import chain, groupby
+from dataclasses import dataclass
+from itertools import chain, product
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _np as np
 from .coefficients import (
@@ -262,28 +262,31 @@ def _grid(spec: tuple[float, float, int]) -> list[float]:
     return [start + i * width for i in range(steps)]
 
 
-def _blocks(cfg: ScanConfig):
-    # one (beta_omega, velocity) block of a scan: its bath and detector
-    for bw in cfg.beta_omega:
-        bath = BathParams(beta=bw / cfg.omega)
-        for v in cfg.velocity:
-            det = DetectorParams(cfg.omega, cfg.coupling_strength, v, cfg.coupling, cfg.v_max)
-            yield bw, v, bath, det
+def _scan(cfg: ScanConfig):
+    # a scan's parameter objects, each built once: a bath per beta_omega, and
+    # a detector per speed that every beta_omega shares
+    baths = [(bw, BathParams(beta=bw / cfg.omega)) for bw in cfg.beta_omega]
+    dets = [
+        DetectorParams(cfg.omega, cfg.coupling_strength, v, cfg.coupling, cfg.v_max)
+        for v in cfg.velocity
+    ]
+    return baths, dets
 
 
 def _run_concurrence(cfg: ScanConfig):
     grid = _grid(cfg.tau)
+    baths, dets = _scan(cfg)
     # the rate unit depends on neither beta_omega nor v: one check, before any block
-    unit = rate_unit(DetectorParams(cfg.omega, cfg.coupling_strength, 0.0, cfg.coupling, cfg.v_max))
+    unit = rate_unit(dets[0])
     if not cfg.tau[1] / unit < math.inf:
         raise ConfigError(f"tau: stop {cfg.tau[1]!r} over the rate unit {unit!r} overflows")
     taus = [t / unit for t in grid]
-    for bw, v, bath, det in _blocks(cfg):
+    for (bw, bath), det in product(baths, dets):
         coeffs = lindblad_coefficients(det, bath)
         columns = [concurrence_closed_form(coeffs, taus)]
         if cfg.oracle:
             columns.append(list(_wootters(coeffs, taus)))
-        yield (bw, v), grid, columns
+        yield (bw, det.velocity), grid, columns
 
 
 def _wootters(coeffs: LindbladCoefficients, taus: list[float]):
@@ -295,41 +298,46 @@ def _wootters(coeffs: LindbladCoefficients, taus: list[float]):
 
 
 def _run_coeffs(cfg: ScanConfig):
-    for bw, v, bath, det in _blocks(cfg):
-        det_u = replace(det, coupling=Coupling.UDW)
-        det_t = replace(det, coupling=Coupling.DERIVATIVE)
-        row = [n_udw(det_u, bath), n_td(det_t, bath)]
-        row += [gamma_udw(det_u) / rate_unit(det_u), gamma_td(det_t) / rate_unit(det_t)]
-        if cfg.oracle:
-            row += [n_udw_quadrature(det_u, bath), n_td_quadrature(det_t, bath)]
-        yield (bw, v), None, row
+    baths, dets = _scan(cfg)
+    # the occupations and rates read no coupling, so one detector per speed
+    # serves both; the rate columns depend on v alone, so every block shares
+    # them, and the rate units on neither beta_omega nor v
+    rates = []
+    for coupling, gamma in ((Coupling.UDW, gamma_udw), (Coupling.DERIVATIVE, gamma_td)):
+        unit = rate_unit(DetectorParams(cfg.omega, cfg.coupling_strength, 0.0, coupling, cfg.v_max))
+        rates.append([gamma(det) / unit for det in dets])
+    occupations = (n_udw, n_td, n_udw_quadrature, n_td_quadrature)[: 4 if cfg.oracle else 2]
+    for bw, bath in baths:
+        # speed by speed, as the rows print, so a failure names the first bad row
+        n_u, n_t, *checks = zip(*[[n(det, bath) for n in occupations] for det in dets])
+        yield (bw,), cfg.velocity, [n_u, n_t, *rates, *checks]
 
 
 def _run_death_time(cfg: ScanConfig):
-    for bw, v, bath, det in _blocks(cfg):
-        coeffs = lindblad_coefficients(det, bath)
-        unit = rate_unit(det)
-        row = [sudden_death_time(coeffs) * unit]
-        if cfg.oracle:
-            row.append(sudden_death_time_bisection(coeffs) * unit)
-        yield (bw, v), None, row
+    baths, dets = _scan(cfg)
+    unit = rate_unit(dets[0])
+    times = (sudden_death_time, sudden_death_time_bisection)[: 2 if cfg.oracle else 1]
+    for bw, bath in baths:
+        coeffs = (lindblad_coefficients(det, bath) for det in dets)  # speed by speed, as for coeffs
+        yield (bw,), cfg.velocity, list(zip(*[[t(c) * unit for t in times] for c in coeffs]))
 
 
 def _run_wightman(cfg: ScanConfig):
     if cfg.coupling is Coupling.UDW:
-        closed, oracle = wightman_moving, _mode_sum_column
+        closed, oracle = wightman_moving, wightman_moving_quadrature
     else:
         closed, oracle = wightman_derivative, wightman_derivative_fd
     grid = _grid(cfg.tau)
-    for bw, v, bath, det in _blocks(cfg):
+    baths, dets = _scan(cfg)
+    for (bw, bath), det in product(baths, dets):
         checks = [oracle(grid, det, bath, cfg.epsilon)] if cfg.oracle else []
         ws = closed(grid, det, bath, cfg.epsilon)
-        _finite(bw, v, grid, ws, *checks)
+        _finite(bw, det.velocity, grid, ws, *checks)
         # + 0.0: no -0 at the pole
         columns = [[w.real for w in ws], [w.imag + 0.0 for w in ws]]
         for column in checks:
             columns += [[o.real for o in column], [o.imag for o in column]]
-        yield (bw, v), grid, columns
+        yield (bw, det.velocity), grid, columns
 
 
 def _finite(bw: float, v: float, grid: list[float], *columns: list[complex]) -> None:
@@ -341,16 +349,10 @@ def _finite(bw: float, v: float, grid: list[float], *columns: list[complex]) -> 
         raise ArithmeticError(f"W = {w!r} is not finite at beta_omega={bw!r}, v={v!r}, s={s!r}")
 
 
-def _mode_sum_column(grid: list[float], det: DetectorParams, bath: BathParams, epsilon):
-    # the udw oracle of a whole (beta_omega, v) block: one vectorised call
-    return wightman_moving_quadrature(np.array(grid), det, bath, epsilon).tolist()
-
-
-# one (beta_omega, velocity) block of output: its prefix values, the scan's
-# tau or s grid (the same list in every block) and one list of values per
-# remaining column; or, with None for the grid, one row: the prefix and
-# one value per remaining column
-_Block = tuple[tuple[float, ...], list[float] | None, list]
+# one block of output: its prefix values, its axis (the scan's tau or s grid,
+# or its speeds; one object shared by every block of a scan) and one list of
+# values per remaining column, one value per axis point
+_Block = tuple[tuple[float, ...], Sequence[float], Sequence]
 
 
 class _Command(NamedTuple):
@@ -405,10 +407,9 @@ _JSON_REPR_DIFFERS = r'": (-?[\d.]+e(?:\+1[1-5]|-30[89]|-3[12]\d)|-?inf|nan)(?=,
 def render_csv(cols: tuple[str, ...], blocks: Iterable[_Block]) -> list[str]:
     """The header line, then one line of ``%.11e`` values per row.
 
-    Returns the text as pieces: the header, then one per grid block and
-    one per run of one-row blocks.  A grid block is one ``%`` of its row
-    template, repeated per row, over the axis text and the value columns;
-    its prefix is already in the template.
+    Returns the text as pieces: the header, then one per block.  A block
+    is one ``%`` of its row template, repeated per row, over the axis
+    text and the value columns; its prefix is already in the template.
     """
     pieces = [",".join(cols) + "\n"]
     for fields, n, values in _layout(blocks, ".11e", "%s", "%.11e"):
@@ -419,12 +420,11 @@ def render_csv(cols: tuple[str, ...], blocks: Iterable[_Block]) -> list[str]:
 def render_json(cols: tuple[str, ...], blocks: Iterable[_Block]) -> list[str]:
     """The text of ``json.dumps(table, indent=2)`` for one object per row.
 
-    Returns the text as pieces: one per grid block and one per run of
-    one-row blocks, then one that closes the list.  Each float is the
-    shortest ``repr`` of its 12-significant-digit value; inf and -inf are
-    the strings ``"inf"`` and ``"-inf"``, nan is ``NaN``.  ``cols`` are
-    distinct, every row holds one float per column, and every grid holds
-    at least one point.
+    Returns the text as pieces: one per block, then one that closes the
+    list.  Each float is the shortest ``repr`` of its 12-significant-digit
+    value; inf and -inf are the strings ``"inf"`` and ``"-inf"``, nan is
+    ``NaN``.  ``cols`` are distinct, every row holds one float per column,
+    and every axis holds at least one point.
 
     A piece is one ``str.format`` of one object template per row, each
     value written once as ``{:.12}``.  For a normal double that text is
@@ -446,21 +446,15 @@ def render_json(cols: tuple[str, ...], blocks: Iterable[_Block]) -> list[str]:
 
 
 def _layout(blocks: Iterable[_Block], spec: str, slot: str, value: str):
-    # each piece of a table as the format fields of its rows, its row count
-    # and the values that fill them: a grid block's prefix rendered into the
-    # fields with spec, its axis rendered with spec once per scan and filled
-    # in at slot
+    # each block as the format fields of its rows, its row count and the
+    # values that fill them: the prefix rendered into the fields with spec,
+    # the axis rendered with spec once per scan and filled in at slot
     shared = axis_text = None
-    for one_row, group in groupby(blocks, lambda block: block[1] is None):
-        if one_row:  # a run of one-row blocks, formatted together with their prefixes
-            rows = [(*prefix, *values) for prefix, _, values in group]
-            yield [value] * len(rows[0]), len(rows), chain.from_iterable(rows)
-            continue
-        for prefix, axis, columns in group:
-            if axis is not shared:
-                shared, axis_text = axis, [format(s, spec) for s in axis]
-            fields = [format(x, spec) for x in prefix] + [slot] + [value] * len(columns)
-            yield fields, len(axis), chain.from_iterable(zip(axis_text, *columns))
+    for prefix, axis, columns in blocks:
+        if axis is not shared:
+            shared, axis_text = axis, [format(s, spec) for s in axis]
+        fields = [format(x, spec) for x in prefix] + [slot] + [value] * len(columns)
+        yield fields, len(axis), chain.from_iterable(zip(axis_text, *columns))
 
 
 def _json_repr(match: re.Match) -> str:

@@ -443,16 +443,19 @@ def wightman_moving_quadrature(
     ``gamma*s``, distance ``gamma*v*s``.  Shares no Doppler algebra with
     the closed form, and holds at every speed, ``v = 0`` included.
 
-    ``s`` is a float, which gives a complex, or a 1-D array, which gives
-    a complex array: the whole array is integrated on shared panel
-    meshes, so a value's last digits may move, within its certified
-    error estimate, with the other separations beside it.
+    ``s`` is a float, which gives a complex, a list of floats, which gives
+    a list, or a 1-D array, which gives a complex array: the whole list or
+    array is integrated on shared panel meshes, so a value's last digits
+    may move, within its certified error estimate, with the other
+    separations beside it.
     """
     eps = _resolve_epsilon(bath.beta, epsilon)
     g = detector.lorentz_gamma
     sep = np.atleast_1d(np.asarray(s, dtype=float))
     th, _ = _thermal_quadrature(g * sep, g * detector.velocity * sep, bath.beta, "moving")
     w = [vacuum_wightman(x, eps) + t for x, t in zip(sep.tolist(), th.tolist())]
+    if isinstance(s, list):
+        return w
     return np.array(w, dtype=complex) if np.ndim(s) else w[0]
 
 

@@ -253,12 +253,12 @@ def _table(draw):
 def _cuts(cols, rows):
     # the table cut into blocks in each way the writers take, with the rows
     # those blocks stand for: a prefix of 0-2 columns, then either one-row
-    # blocks without an axis, or blocks of m rows that share one axis list
-    # (the first block's axis column, so every drawn value lands in a
-    # prefix, an axis or a value column somewhere), also between one-row
-    # blocks
+    # blocks, each with an axis of its own, or blocks of m rows that share
+    # one axis list (the first block's axis column, so every drawn value
+    # lands in a prefix, an axis or a value column somewhere), also between
+    # one-row blocks
     for w in range(min(3, len(cols))):
-        one_row = [(tuple(row[:w]), None, row[w:]) for row in rows]
+        one_row = [(tuple(row[:w]), [row[w]], [[x] for x in row[w + 1 :]]) for row in rows]
         yield one_row, rows
         for m in sorted({1, 2, len(rows)} - {0}):
             axis = [row[w] for row in rows[:m]]
@@ -403,6 +403,22 @@ def test_oracle_only_appends_columns(argv, fmt, capsys):
         for bare, row in zip(plain, checked):
             assert {key: row[key] for key in bare} == bare
             assert list(row)[len(bare) :] == list(extra)
+
+
+@pytest.mark.parametrize("coupling", ["udw", "td"])
+@pytest.mark.parametrize("command", ["coeffs", "death-time"])
+def test_a_scan_prints_the_rows_of_its_one_pair_scans(command, coupling, capsys):
+    # the scan's blocks share one speed axis, and coeffs' blocks their rate
+    # columns: every row must still be what its (beta_omega, v) prints
+    # alone, for unsorted and repeated speeds too
+    bws, vs = ["0.5", "5", "0.01"], ["0.9", "0", "0.5", "0"]
+    argv = [command, "--coupling", coupling, "--oracle"]
+    assert main(argv + ["--beta-omega", ",".join(bws), "--velocity", ",".join(vs)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 12
+    for row, (bw, v) in zip(rows, [(bw, v) for bw in bws for v in vs]):
+        assert main(argv + ["--beta-omega", bw, "--velocity", v]) == 0
+        assert capsys.readouterr().out.splitlines() == [header, row]
 
 
 def test_wightman_scan_shape(capsys):

@@ -267,6 +267,10 @@ def test_moving_quadrature_of_a_float_is_a_complex_and_of_an_array_an_array():
     w = wightman_moving_quadrature(0.7, d, bath)
     assert type(w) is complex
     assert wightman_moving_quadrature(np.array([0.7]), d, bath).tolist() == [w]
+    # a list gives the list of the array's values
+    s = [0.3, 0.7, 2.5]
+    block = wightman_moving_quadrature(np.array(s), d, bath)
+    assert wightman_moving_quadrature(s, d, bath) == block.tolist()
     empty = wightman_moving_quadrature(np.array([]), d, bath)
     assert empty.shape == (0,) and empty.dtype == complex
 
