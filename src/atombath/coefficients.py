@@ -378,7 +378,7 @@ def _window_mean(b: float, v: float, power: int) -> tuple[float, float, float]:
     # windows have values far below any fixed absolute target
     what = f"window quadrature for b={b}, v={v}"
     val, _ = certified_gk21(
-        integrand, 0.0, 1.0, what, 1e-10, 1e-280, epsabs=0.0, epsrel=1e-12, limit=400
+        integrand, (0.0, 1.0), what, 1e-10, 1e-280, epsabs=0.0, epsrel=1e-12, limit=400
     )
     return scale, unit, float(val[0])
 

@@ -374,6 +374,11 @@ def wightman_derivative(
 # --- brute-force cross-checks ------------------------------------------------
 
 _KMAX_THERMAL = 60.0  # modes above 60/beta are suppressed below 1e-26
+# the mode sums' starting mesh, in beta*k: graded as the Bose weight
+# 1/(e^(beta k) - 1) changes scale, so a block certifies in a level or two
+# of bisection.  It depends on beta alone, so a separation's mesh starts
+# the same whichever block holds it
+_SEED_BETA_K = (0.0, 2.0, 4.0, 8.0, 16.0, 30.0, _KMAX_THERMAL)
 # separations per panel-kernel call: at its cap of 1000 panels, 96 x 1000
 # panels x 21 nodes x 8 B of integrand values is 16 MB, whatever the grid
 _MODE_SUM_SLICE = 96
@@ -386,14 +391,18 @@ def _mode_sum_integrand(s, r, beta: float):
     # [sin k(s + r) - sin k(s - r)]/(4 pi^2 r) with nothing to cancel as
     # r -> 0; at r = 0 its limit, k cos(ks)/(2 pi^2 (e^(beta k) - 1))
     at_rest = r == 0.0
+    resting = at_rest.all()  # a v = 0 block: no sine to take
     r_div = np.where(at_rest, 1.0, r)[:, None]
 
     def integrand(k):
-        radial = np.sin(np.multiply.outer(r, k))
-        radial /= r_div
-        radial[at_rest] = k
         out = np.cos(np.multiply.outer(s, k))
-        out *= radial
+        if resting:
+            out *= k
+        else:
+            radial = np.sin(np.multiply.outer(r, k))
+            radial /= r_div
+            radial[at_rest] = k
+            out *= radial
         out /= _TWO_PI2 * np.expm1(beta * k)
         return out
 
@@ -405,10 +414,11 @@ def _thermal_quadrature(s, r, beta: float, what: str):
     # estimates, by one certified panel quadrature per slice of
     # _MODE_SUM_SLICE separations
     parts = max(1, math.ceil(len(s) / _MODE_SUM_SLICE))
+    edges = np.array(_SEED_BETA_K) / beta
     values, errors = [], []
     for s_part, r_part in zip(np.array_split(s, parts), np.array_split(r, parts)):
         val, err = certified_gk21(
-            _mode_sum_integrand(s_part, r_part, beta), 0.0, _KMAX_THERMAL / beta,
+            _mode_sum_integrand(s_part, r_part, beta), edges,
             f"{what} quadrature", 1e-8, 1e-4,
             epsabs=1e-13, epsrel=1e-11, limit=1000,
         )
@@ -444,16 +454,21 @@ def wightman_moving_quadrature(
     the closed form, and holds at every speed, ``v = 0`` included.
 
     ``s`` is a float, which gives a complex, a list of floats, which gives
-    a list, or a 1-D array, which gives a complex array: the whole list or
-    array is integrated on shared panel meshes, so a value's last digits
-    may move, within its certified error estimate, with the other
-    separations beside it.
+    a list, or a 1-D array, which gives a complex array.  The separations
+    and the regulator are checked once; the whole list or array is
+    integrated on shared panel meshes, one per slice of up to 96
+    separations, each bisected from the same seed over ``[0, 60/beta]``,
+    graded in ``beta * k``.  So a value's last digits may move, within its
+    certified error estimate, with the other separations beside it.
     """
     eps = _resolve_epsilon(bath.beta, epsilon)
     g = detector.lorentz_gamma
     sep = np.atleast_1d(np.asarray(s, dtype=float))
+    grid = sep.tolist()
+    if not all(map(math.isfinite, grid)):
+        vacuum_wightman(next(x for x in grid if not math.isfinite(x)), eps)  # raises
     th, _ = _thermal_quadrature(g * sep, g * detector.velocity * sep, bath.beta, "moving")
-    w = [vacuum_wightman(x, eps) + t for x, t in zip(sep.tolist(), th.tolist())]
+    w = [_vacuum(x, eps) + t for x, t in zip(grid, th.tolist())]
     if isinstance(s, list):
         return w
     return np.array(w, dtype=complex) if np.ndim(s) else w[0]

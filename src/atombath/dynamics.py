@@ -249,17 +249,15 @@ def evolve_closed_form(
     _reject_first(tau == math.inf, lambda i: f"tau must be finite, got {float(tau[i])!r}")
     a, b, om = coeffs.a, coeffs.b, coeffs.omega_eff
     times = tau.ravel().tolist()
-
     # exp, cos and sin from math, one time at a time, as for every other
     # closed form here: numpy's vector versions can differ in the last
     # bit, which the Wootters oracle turns into ~1e-12 on near-pure states
-    def per_time(f) -> np.ndarray:
-        return np.array([f(t) for t in times]).reshape(tau.shape + (1,))
-
-    e_half = per_time(lambda t: math.exp(-0.5 * a * t))
-    e_full = per_time(lambda t: math.exp(-a * t))
-    cos_ = per_time(lambda t: math.cos(om * t))
-    sin_ = per_time(lambda t: math.sin(om * t))
+    exp, cos, sin, half, neg = math.exp, math.cos, math.sin, -0.5 * a, -a
+    col = tau.shape + (1,)
+    e_half = np.array([exp(half * t) for t in times]).reshape(col)
+    e_full = np.array([exp(neg * t) for t in times]).reshape(col)
+    cos_ = np.array([cos(om * t) for t in times]).reshape(col)
+    sin_ = np.array([sin(om * t) for t in times]).reshape(col)
     r0, r1, r2, r3 = (u0[..., i, :] for i in range(4))
     u = np.empty(np.broadcast_shapes(tau.shape + (1, 1), u0.shape))
     u[..., 0, :] = r0

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from . import _np as np
-from . import dynamics
 from .coefficients import LindbladCoefficients
 from .dynamics import _reject_first, check_density_matrix
 
@@ -37,6 +36,8 @@ _IMAG_TOL = 1e-10
 _NEG_TOL = 1e-12
 # largest off-X entry XState.from_matrix ignores
 _X_TOL = 1e-12
+# Y x Y = antidiag(-1, 1, 1, -1): the sign of its entry in row i
+_FLIP_SIGNS = (-1.0, 1.0, 1.0, -1.0)
 
 
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
@@ -57,9 +58,7 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
         stack the message names the first such state.
     """
     rho = check_density_matrix(rho)
-    yy = dynamics.PAULI_PAIR[2, 2]  # Y x Y; read here, as dynamics builds it on first use
-    flipped = yy @ rho.conj() @ yy
-    lam = np.linalg.eigvals(rho @ flipped)
+    lam = np.linalg.eigvals(rho @ _spin_flip(rho))
     worst_imag = np.abs(lam.imag).max(axis=-1)
     _reject_first(
         worst_imag > _IMAG_TOL,
@@ -76,6 +75,13 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     roots = np.sort(np.sqrt(np.clip(ev, 0.0, None)), axis=-1)[..., ::-1]
     c = np.maximum(0.0, roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3])
     return float(c) if c.ndim == 0 else c
+
+
+def _spin_flip(rho: np.ndarray) -> np.ndarray:
+    # (Y x Y) rho* (Y x Y) without a matmul: Y x Y is the index reversal
+    # i -> 3 - i signed by _FLIP_SIGNS, so entry (i, j) is
+    # s_i s_j rho*[3 - i, 3 - j], what the two products give bit for bit
+    return rho.conj()[..., ::-1, ::-1] * np.multiply.outer(_FLIP_SIGNS, _FLIP_SIGNS)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ summed with Kahan compensation, plus the closed form
 
 The package's quadrature oracles all run on one engine here: a numpy
 Gauss-Kronrod-21 panel kernel (:func:`certified_gk21`) that integrates
-many integrands on one shared, adaptively bisected mesh, with one
-acceptance rule (:func:`certify`).
+many integrands on one shared mesh, bisected adaptively from the
+caller's breakpoints, with one acceptance rule (:func:`certify`).
 """
 
 from __future__ import annotations
@@ -152,11 +152,15 @@ def _gk21(f, lo, hi):
     return kronrod * half, np.maximum(np.where(resasc > 0.0, scaled, diff), noise), noise
 
 
-def certified_gk21(f, a, b, what, rtol, floor, *, epsabs, epsrel, limit):
-    """Integrals of many integrands over ``[a, b]`` on one shared panel mesh.
+def certified_gk21(f, edges, what, rtol, floor, *, epsabs, epsrel, limit):
+    """Integrals of many integrands over ``[edges[0], edges[-1]]`` on one
+    shared panel mesh.
 
     ``f`` maps a 1-D array of nodes to a ``(components, nodes)`` array.
-    Starting from the one panel ``[a, b]``, every panel whose
+    The mesh starts from the caller's breakpoints ``edges`` (finite and
+    strictly increasing, at most ``limit`` panels): the one panel
+    ``(0, 1)`` for the occupation window oracles, a seed graded in
+    ``beta * k`` for the thermal mode sums.  Every panel whose
     Gauss-Kronrod-21 error estimate (QUADPACK's heuristic) exceeds, for
     some component still short of ``max(epsabs, epsrel * |value|)``, that
     target over the panel count is bisected, the worst first, while the
@@ -164,7 +168,15 @@ def certified_gk21(f, a, b, what, rtol, floor, *, epsabs, epsrel, limit):
     is not.  Returns each component's value and summed error estimate,
     the values only if :func:`certify` accepts them all.
     """
-    lo, hi = np.array([float(a)]), np.array([float(b)])
+    edges = np.atleast_1d(np.asarray(edges, dtype=float))
+    lo, hi = edges[:-1], edges[1:]
+    if not (
+        edges.ndim == 1 and 1 <= len(lo) <= limit and np.isfinite(edges).all() and (lo < hi).all()
+    ):
+        raise ValueError(
+            f"edges must be 2 to limit + 1 = {limit + 1} finite, strictly increasing "
+            f"breakpoints, got {edges!r}"
+        )
     # non-finite values and estimates are left to certify, which rejects them
     with np.errstate(all="ignore"):
         val, err, noise = _gk21(f, lo, hi)

@@ -209,6 +209,28 @@ def test_moving_matches_quadrature():
                 assert w.imag == ref.imag
 
 
+@pytest.mark.parametrize("beta_omega", [0.01, 0.5, 5.0, 50.0, 700.0])
+def test_mode_sum_column_agrees_with_the_closed_form_hot_and_cold(beta_omega):
+    # the CLI's udw oracle column, one call per (beta_omega, v) block over
+    # s in [0.1 beta, beta]: within the oracle's own acceptance bound,
+    # 1e-8 of max(|W|, 1e-4), and with the closed form's vacuum part
+    bath = BathParams(beta=beta_omega)
+    grid = np.linspace(0.1 * beta_omega, beta_omega, 25).tolist()
+    for v in (0.0, 0.5, 0.9):
+        d = _detector(v)
+        closed, oracle = wightman_moving(grid, d, bath), wightman_moving_quadrature(grid, d, bath)
+        for w, q in zip(closed, oracle):
+            assert abs(q.real - w.real) <= 1e-8 * max(abs(w.real), 1e-4)
+            assert q.imag == w.imag
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_moving_quadrature_refuses_a_non_finite_separation(bad):
+    # checked with the regulator, once per block, before any quadrature
+    with pytest.raises(ValueError, match="s finite"):
+        wightman_moving_quadrature([0.5, bad, 1.0], _detector(0.5), BathParams(beta=1.0))
+
+
 def test_moving_quadrature_is_continuous_in_the_speed():
     # the static mode sum at the boosted separation: no 1/v, no v = 0 branch
     bath = BathParams(beta=1.0)

@@ -17,9 +17,10 @@ from atombath.coefficients import (
     lindblad_coefficients,
     n_udw_quadrature,
 )
-from atombath.dynamics import bell_state, shared_state
+from atombath.dynamics import PAULI_PAIR, bell_state, shared_state
 from atombath.entanglement import (
     XState,
+    _spin_flip,
     concurrence,
     concurrence_closed_form,
     concurrence_xstate,
@@ -299,6 +300,23 @@ def test_stacked_concurrence_rejects_a_bad_state_by_index():
     stack[2] *= 1.01
     with pytest.raises(ValueError, match=r"^state 2: trace must be 1"):
         concurrence(stack)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    shape=st.lists(st.integers(0, 5), max_size=2),
+    zeros=st.floats(0.0, 1.0),
+)
+def test_spin_flip_is_the_pauli_product_bit_for_bit(seed, shape, zeros):
+    # Hermitian stacks, with a share of exact zeros as in X states: the
+    # signed index reversal is (Y x Y) rho* (Y x Y), to the bit
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(*shape, 4, 4)) + 1j * rng.normal(size=(*shape, 4, 4))
+    a[rng.random(a.shape) < zeros] = 0.0
+    rho = a + a.conj().swapaxes(-1, -2)
+    yy = PAULI_PAIR[2, 2]
+    assert np.array_equal(_spin_flip(rho), yy @ rho.conj() @ yy)
 
 
 def _death_time(coupling, beta_omega, v):

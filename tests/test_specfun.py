@@ -165,7 +165,7 @@ def test_one_gauss_kronrod_panel_is_quadpacks_qk21(b):
 
     ref, ref_err, _, _ = quad(f, 0.0, b, limit=1, full_output=1)
     val, err = certified_gk21(
-        lambda k: (np.cos(3.0 * k) * k / np.expm1(0.7 * k))[None], 0.0, b, "probe", math.inf, 1.0,
+        lambda k: (np.cos(3.0 * k) * k / np.expm1(0.7 * k))[None], (0.0, b), "probe", math.inf, 1.0,
         epsabs=1e-13, epsrel=1e-11, limit=1,
     )
     assert val[0] == pytest.approx(ref, rel=1e-14, abs=0)
@@ -176,24 +176,51 @@ def test_gauss_kronrod_panels_integrate_many_components_on_one_mesh():
     # int_0^1 x^n dx = 1/(n + 1) and int_0^pi sin(m x) dx = (1 - cos(m pi))/m
     n = np.arange(40.0)
     val, err = certified_gk21(
-        lambda x: x ** n[:, None], 0.0, 1.0, "powers", 1e-8, 1e-4,
+        lambda x: x ** n[:, None], (0.0, 1.0), "powers", 1e-8, 1e-4,
         epsabs=1e-13, epsrel=1e-11, limit=1000,
     )
     assert np.all(np.abs(val - 1.0 / (n + 1.0)) <= err)
     assert np.all(err <= np.maximum(1e-13, 1e-11 * val))
     m = np.arange(1.0, 60.0)
     val, err = certified_gk21(
-        lambda x: np.sin(np.multiply.outer(m, x)), 0.0, math.pi, "sines", 1e-8, 1e-4,
+        lambda x: np.sin(np.multiply.outer(m, x)), (0.0, math.pi), "sines", 1e-8, 1e-4,
         epsabs=1e-13, epsrel=1e-11, limit=1000,
     )
     assert np.all(np.abs(val - (1.0 - np.cos(m * math.pi)) / m) <= err + 1e-15)
+
+
+def test_gauss_kronrod_panels_start_from_a_graded_mesh():
+    # the sines of the one-panel test, from breakpoints graded toward 0
+    m = np.arange(1.0, 60.0)
+    edges = math.pi * np.array([0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
+    val, err = certified_gk21(
+        lambda x: np.sin(np.multiply.outer(m, x)), edges, "sines", 1e-8, 1e-4,
+        epsabs=1e-13, epsrel=1e-11, limit=1000,
+    )
+    assert np.all(np.abs(val - (1.0 - np.cos(m * math.pi)) / m) <= err + 1e-15)
+    assert np.all(err <= np.maximum(1e-13, 1e-11 * np.abs(val)))
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [(1.0, 0.0), (0.0, 0.5, 0.5, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0),
+     (0.0,), (), ((0.0, 1.0), (1.0, 2.0)), tuple(np.linspace(0.0, 1.0, 18))],
+    ids=["decreasing", "repeated", "nan", "inf", "-inf", "one", "none", "2-d", "over-limit"],
+)
+def test_gauss_kronrod_panels_refuse_a_bad_mesh(edges):
+    # finite, strictly increasing breakpoints of 1 to limit = 16 panels
+    with pytest.raises(ValueError, match="edges must be"):
+        certified_gk21(
+            lambda x: x[None], edges, "bad mesh", 1e-8, 1e-4,
+            epsabs=1e-13, epsrel=1e-11, limit=16,
+        )
 
 
 def test_gauss_kronrod_panels_stop_at_the_limit_and_refuse_to_certify():
     # 480 periods do not fit in 16 panels of 21 nodes
     with pytest.raises(QuadratureError, match="fast cosine only reached"):
         certified_gk21(
-            lambda x: np.cos(3000.3 * x)[None] + 1.0, 0.0, 1.0, "fast cosine", 1e-8, 1e-4,
+            lambda x: np.cos(3000.3 * x)[None] + 1.0, (0.0, 1.0), "fast cosine", 1e-8, 1e-4,
             epsabs=1e-13, epsrel=1e-11, limit=16,
         )
 
