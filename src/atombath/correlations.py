@@ -36,7 +36,6 @@ from .specfun import BERNOULLI, certified_gk21
 
 __all__ = [
     "PoleProximityWarning",
-    "CorrelationQuery",
     "MarkovDiagnostic",
     "DEFAULT_EPSILON_FRACTION",
     "MARKOV_MIN_TEMP_RATIO",
@@ -75,28 +74,6 @@ class PoleProximityWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class CorrelationQuery:
-    """Point at which a static-worldline correlation is requested.
-
-    ``s`` is the time separation, ``r`` the spatial separation, ``beta``
-    the inverse bath temperature.  ``epsilon`` defaults to
-    ``1e-3 * beta`` and must stay well below ``beta`` (at most a tenth)
-    for the regularized values to be meaningful.
-    """
-
-    s: float
-    beta: float
-    r: float = 0.0
-    epsilon: float | None = None
-
-    def __post_init__(self) -> None:
-        BathParams(self.beta)  # validates beta
-        if not 0.0 <= self.r < math.inf:
-            raise ValueError(f"r must be non-negative and finite, got {self.r!r}")
-        object.__setattr__(self, "epsilon", _resolve_epsilon(self.beta, self.epsilon))
-
-
-@dataclass(frozen=True)
 class MarkovDiagnostic:
     """Sanity data for the Markovian reduction at one parameter point.
 
@@ -118,6 +95,14 @@ def _resolve_epsilon(beta: float, epsilon: float | None) -> float:
             f"epsilon must lie in (0, 0.1*beta], got {epsilon!r} for beta={beta!r}"
         )
     return eps
+
+
+def _check_separations(grid) -> None:
+    # the correlators' one refusal of a non-finite separation, for a list
+    # (or a float's tuple of one), before any pole check or arithmetic
+    if not all(map(math.isfinite, grid)):
+        bad = next(x for x in grid if not math.isfinite(x))
+        raise ValueError(f"separation s must be finite, got {bad!r}")
 
 
 def _coth(y):
@@ -192,11 +177,15 @@ def _tst(p, beta: float):
 
 
 def vacuum_wightman(s: float, epsilon: float, r: float = 0.0) -> complex:
-    """Regularized vacuum kernel ``-1/(4 pi^2 ((s - i eps)^2 - r^2))``."""
+    """Regularized vacuum kernel ``-1/(4 pi^2 ((s - i eps)^2 - r^2))``, for
+    ``epsilon`` positive and finite, ``s`` finite and ``r`` non-negative and
+    finite."""
     if not (0.0 < epsilon < math.inf and abs(s) < math.inf):
         raise ValueError(
             f"epsilon must be positive and finite, s finite, got epsilon={epsilon!r}, s={s!r}"
         )
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"r must be non-negative and finite, got {r!r}")
     return _vacuum(s, epsilon, r)
 
 
@@ -211,10 +200,12 @@ def wightman_coincidence(s: float, beta: float) -> float:
 
     The image-sum term ``-1/(4 beta^2 sinh^2(pi s / beta))``; the full
     static function at ``r = 0`` is this plus the vacuum kernel plus the
-    ``1/(4 pi^2 s^2)`` pole subtraction.  Diverges at ``s = 0``.
+    ``1/(4 pi^2 s^2)`` pole subtraction.  Diverges at ``s = 0``, and
+    refuses a non-finite ``s``.
     """
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    _check_separations((s,))
     if s == 0.0:
         raise ValueError("coincidence term diverges at s = 0")
     return -_image(math.pi * s / beta, beta)
@@ -223,9 +214,7 @@ def wightman_coincidence(s: float, beta: float) -> float:
 def _pole_shift(s: float, eps: float, r: float = 0.0):
     # s, or s - i eps with a warning when s lies within eps/10 of a
     # light-cone pole s = +-r (r >= 0); the warning names the first
-    # caller outside this module
-    if not math.isfinite(s):
-        raise ValueError(f"separation s must be finite, got {s!r}")
+    # caller outside this module; s is finite, as every caller has checked
     if abs(abs(s) - r) >= eps / 10.0:
         return s
     depth = 1
@@ -250,8 +239,20 @@ def _coincidence_correction(s, beta: float):
     return 1.0 / (FOUR_PI2 * s * s) - _image(x, beta)
 
 
-def wightman_static(query: CorrelationQuery) -> complex:
-    """Thermal correlation along a static worldline.
+def _static_vacuum(s: float, bath: BathParams, r: float, epsilon: float | None):
+    # both static correlators' checks (s finite, then the regulator, then r
+    # by vacuum_wightman) and their common part: the regulator and the vacuum kernel
+    _check_separations((s,))
+    eps = _resolve_epsilon(bath.beta, epsilon)
+    return eps, vacuum_wightman(s, eps, r)
+
+
+def wightman_static(
+    s: float, bath: BathParams, r: float = 0.0, epsilon: float | None = None
+) -> complex:
+    """Thermal correlation along a static worldline, at time separation ``s``
+    and distance ``r``; ``epsilon`` defaults to ``1e-3 * beta`` and must lie
+    in ``(0, beta/10]``.
 
     Vacuum kernel plus the spherically averaged thermal mode sum,
 
@@ -262,13 +263,12 @@ def wightman_static(query: CorrelationQuery) -> complex:
     ``|s| + r`` within ``epsilon/10`` of zero) the thermal arguments are
     complex shifted and a :class:`PoleProximityWarning` is emitted.
     """
-    s, r, beta, eps = query.s, query.r, query.beta, query.epsilon
+    eps, vac = _static_vacuum(s, bath, r, epsilon)
+    beta = bath.beta
     s_eval = _pole_shift(s, eps, r)
-    vac = vacuum_wightman(s, eps, r)
     if r == 0.0:
         return vac + complex(_coincidence_correction(s_eval, beta))
-    tst = thermal_sin_transform
-    return vac + (tst(s_eval + r, beta) - tst(s_eval - r, beta)) / (FOUR_PI2 * r)
+    return vac + (_tst(s_eval + r, beta) - _tst(s_eval - r, beta)) / (FOUR_PI2 * r)
 
 
 def _worldline(s, detector: DetectorParams, bath: BathParams, epsilon):
@@ -277,8 +277,7 @@ def _worldline(s, detector: DetectorParams, bath: BathParams, epsilon):
     # and the Doppler window (red, blue, prefactor), None below _V_STATIC
     grid = s if isinstance(s, list) else [s]
     eps = _resolve_epsilon(bath.beta, epsilon)
-    if not all(map(math.isfinite, grid)):
-        _pole_shift(next(x for x in grid if not math.isfinite(x)), eps)  # raises
+    _check_separations(grid)
     near = eps / 10.0
     shifted = [x if abs(x) >= near else _pole_shift(x, eps) for x in grid]
     v = detector.velocity
@@ -427,25 +426,28 @@ def _thermal_quadrature(s, r, beta: float, what: str):
     return np.concatenate(values), np.concatenate(errors)
 
 
-def wightman_static_quadrature(query: CorrelationQuery) -> complex:
-    """Mode-sum cross-check of :func:`wightman_static`.
+def wightman_static_quadrature(
+    s: float, bath: BathParams, r: float = 0.0, epsilon: float | None = None
+) -> complex:
+    """Mode-sum cross-check of :func:`wightman_static`, with the same
+    arguments and checks.
 
     Vacuum part in regularized closed form, thermal part by the
     certified Gauss-Kronrod panel quadrature of the Bose-weighted
     spherical kernel.  Intended for tests: slower and, near poles, less
     uniform than the closed form.
     """
-    s, r, beta, eps = query.s, query.r, query.beta, query.epsilon
-    th, _ = _thermal_quadrature(np.array([s]), np.array([r]), beta, "static")
-    return vacuum_wightman(s, eps, r) + th.item()
+    _, vac = _static_vacuum(s, bath, r, epsilon)
+    th, _ = _thermal_quadrature(np.array([s]), np.array([r]), bath.beta, "static")
+    return vac + th.item()
 
 
 def wightman_moving_quadrature(
-    s,
+    s: float | list[float],
     detector: DetectorParams,
     bath: BathParams,
     epsilon: float | None = None,
-):
+) -> complex | list[complex]:
     """Mode-sum cross-check of :func:`wightman_moving`.
 
     The static mode sum at the separation the bath frame sees between
@@ -453,25 +455,21 @@ def wightman_moving_quadrature(
     ``gamma*s``, distance ``gamma*v*s``.  Shares no Doppler algebra with
     the closed form, and holds at every speed, ``v = 0`` included.
 
-    ``s`` is a float, which gives a complex, a list of floats, which gives
-    a list, or a 1-D array, which gives a complex array.  The separations
-    and the regulator are checked once; the whole list or array is
+    ``s`` is a float or a list of floats, as for :func:`wightman_moving`.
+    The separations and the regulator are checked once; the whole list is
     integrated on shared panel meshes, one per slice of up to 96
     separations, each bisected from the same seed over ``[0, 60/beta]``,
     graded in ``beta * k``.  So a value's last digits may move, within its
     certified error estimate, with the other separations beside it.
     """
+    grid = s if isinstance(s, list) else [s]
     eps = _resolve_epsilon(bath.beta, epsilon)
+    _check_separations(grid)
     g = detector.lorentz_gamma
-    sep = np.atleast_1d(np.asarray(s, dtype=float))
-    grid = sep.tolist()
-    if not all(map(math.isfinite, grid)):
-        vacuum_wightman(next(x for x in grid if not math.isfinite(x)), eps)  # raises
+    sep = np.array(grid, dtype=float)
     th, _ = _thermal_quadrature(g * sep, g * detector.velocity * sep, bath.beta, "moving")
     w = [_vacuum(x, eps) + t for x, t in zip(grid, th.tolist())]
-    if isinstance(s, list):
-        return w
-    return np.array(w, dtype=complex) if np.ndim(s) else w[0]
+    return w if isinstance(s, list) else w[0]
 
 
 def wightman_derivative_fd(

@@ -14,14 +14,12 @@ independently so they can be played against each other in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _np as np
 from .coefficients import LindbladCoefficients
 from .dynamics import _reject_first, check_density_matrix
 
 __all__ = [
-    "XState",
     "concurrence",
     "concurrence_xstate",
     "concurrence_closed_form",
@@ -34,8 +32,10 @@ __all__ = [
 # these set how much numerical slack is forgiven before erroring out
 _IMAG_TOL = 1e-10
 _NEG_TOL = 1e-12
-# largest off-X entry XState.from_matrix ignores
+# largest entry off the X (diagonal and anti-diagonal) concurrence_xstate ignores; where they sit
 _X_TOL = 1e-12
+_OFF_X_ROWS = [0, 0, 1, 1, 2, 2, 3, 3]
+_OFF_X_COLS = [1, 2, 0, 3, 0, 3, 1, 2]
 # Y x Y = antidiag(-1, 1, 1, -1): the sign of its entry in row i
 _FLIP_SIGNS = (-1.0, 1.0, 1.0, -1.0)
 
@@ -84,73 +84,25 @@ def _spin_flip(rho: np.ndarray) -> np.ndarray:
     return rho.conj()[..., ::-1, ::-1] * np.multiply.outer(_FLIP_SIGNS, _FLIP_SIGNS)
 
 
-@dataclass(frozen=True)
-class XState:
-    """Two-qubit state with nonzero entries only on the diagonal and
-    anti-diagonal (in the product basis ``|00>, |01>, |10>, |11>``).
+def concurrence_xstate(rho: np.ndarray) -> float | np.ndarray:
+    """Concurrence of X states: each coherence against the opposite pair
+    of populations, whichever wins.
 
-    ``d1..d4`` are the populations, ``a14`` the outer coherence
-    ``<00|rho|11>`` and ``a23`` the inner one ``<01|rho|10>``.
-    Positivity bounds each coherence by its own population pair:
-    ``|a14| <= sqrt(d1 d4)`` and ``|a23| <= sqrt(d2 d3)``.  (Concurrence
-    pits each coherence against the opposite pair.)
+    ``rho`` is what :func:`concurrence` takes, one 4x4 matrix (a ``float``)
+    or a ``(..., 4, 4)`` stack (an array), checked by ``check_density_matrix``;
+    an entry off the diagonal and anti-diagonal above 1e-12 raises
+    ``ValueError`` naming the first such state.
     """
-
-    d1: float
-    d2: float
-    d3: float
-    d4: float
-    a14: complex = 0.0j
-    a23: complex = 0.0j
-
-    def __post_init__(self) -> None:
-        pops = (self.d1, self.d2, self.d3, self.d4)
-        # negated comparisons, which a NaN cannot pass (nor min(), whose
-        # answer with a NaN depends on where it sits)
-        if not all(p >= -1e-12 for p in pops):
-            raise ValueError(f"populations must be non-negative, got {pops}")
-        if not abs(sum(pops) - 1.0) <= 1e-12:
-            raise ValueError(f"populations must sum to 1, got {sum(pops)!r}")
-        if not abs(self.a14) <= math.sqrt(max(self.d1 * self.d4, 0.0)) + 1e-12:
-            raise ValueError("outer coherence violates |a14| <= sqrt(d1 d4)")
-        if not abs(self.a23) <= math.sqrt(max(self.d2 * self.d3, 0.0)) + 1e-12:
-            raise ValueError("inner coherence violates |a23| <= sqrt(d2 d3)")
-
-    def to_matrix(self) -> np.ndarray:
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = self.d1, self.d2, self.d3, self.d4
-        rho[0, 3] = self.a14
-        rho[3, 0] = np.conj(self.a14)
-        rho[1, 2] = self.a23
-        rho[2, 1] = np.conj(self.a23)
-        return rho
-
-    @classmethod
-    def from_matrix(cls, rho: np.ndarray) -> "XState":
-        """Extract the X entries, rejecting matrices that are not X shaped."""
-        rho = np.asarray(rho, dtype=complex)
-        mask = np.ones((4, 4), dtype=bool)
-        for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)):
-            mask[i, j] = False
-        stray = np.max(np.abs(rho[mask]))
-        if stray > _X_TOL:
-            raise ValueError(f"matrix is not X shaped: stray entry {stray:.3e}")
-        return cls(
-            d1=rho[0, 0].real,
-            d2=rho[1, 1].real,
-            d3=rho[2, 2].real,
-            d4=rho[3, 3].real,
-            a14=complex(rho[0, 3]),
-            a23=complex(rho[1, 2]),
-        )
-
-
-def concurrence_xstate(x: XState) -> float:
-    """Concurrence of an X state: each coherence against the opposite
-    pair of populations, whichever wins."""
-    outer = abs(x.a14) - math.sqrt(max(x.d2 * x.d3, 0.0))
-    inner = abs(x.a23) - math.sqrt(max(x.d1 * x.d4, 0.0))
-    return 2.0 * max(0.0, outer, inner)
+    rho = check_density_matrix(rho)
+    stray = np.abs(rho[..., _OFF_X_ROWS, _OFF_X_COLS]).max(axis=-1)
+    _reject_first(stray > _X_TOL, lambda i: f"matrix is not X shaped: stray entry {stray[i]:.3e}")
+    d = rho.diagonal(axis1=-2, axis2=-1).real
+    # |rho_14|, |rho_23| by hypot, as Python's abs of a complex (np.abs may differ in the last bit)
+    a14, a23 = rho[..., 0, 3], rho[..., 1, 2]
+    outer = np.hypot(a14.real, a14.imag) - np.sqrt(np.maximum(d[..., 1] * d[..., 2], 0.0))
+    inner = np.hypot(a23.real, a23.imag) - np.sqrt(np.maximum(d[..., 0] * d[..., 3], 0.0))
+    c = 2.0 * np.maximum(0.0, np.maximum(outer, inner))
+    return float(c) if c.ndim == 0 else c
 
 
 def concurrence_closed_form(

@@ -28,7 +28,6 @@ from atombath.correlations import (
 )
 from atombath.dynamics import bell_state, evolve_numeric, shared_state
 from atombath.entanglement import (
-    XState,
     concurrence,
     concurrence_closed_form,
     concurrence_xstate,
@@ -101,12 +100,12 @@ def test_criterion_03_concurrence_routes_agree():
             tau = horizon * k / 9.0
             rho = shared_state(coeffs, tau)
             spectral = concurrence(rho)
-            xform = concurrence_xstate(XState.from_matrix(rho))
+            xform = concurrence_xstate(rho)
             closed = concurrence_closed_form(coeffs, tau)
             worst = max(worst, abs(spectral - xform), abs(spectral - closed))
     for _ in range(1000):
         x = random_xstate(rng)
-        worst = max(worst, abs(concurrence_xstate(x) - concurrence(x.to_matrix())))
+        worst = max(worst, abs(concurrence_xstate(x) - concurrence(x)))
     _report(3, worst < 1e-10, f"three concurrence routes agree (worst abs {worst:.2e})")
 
 

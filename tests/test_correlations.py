@@ -14,7 +14,6 @@ from atombath import correlations
 from atombath.coefficients import BathParams, Coupling, DetectorParams, doppler_shifts
 from atombath.correlations import (
     MARKOV_MIN_TEMP_RATIO,
-    CorrelationQuery,
     PoleProximityWarning,
     markov_diagnostic,
     thermal_sin_transform,
@@ -37,32 +36,38 @@ def _detector(v):
     return DetectorParams(omega=1.0, lam=1.0, velocity=v)
 
 
-# --- query container ---------------------------------------------------------
+# --- static worldline arguments -----------------------------------------------
+
+_STATIC = [wightman_static, wightman_static_quadrature]
 
 
-def test_query_epsilon_defaults_to_beta_fraction():
-    q = CorrelationQuery(s=1.0, beta=2.0)
-    assert q.epsilon == pytest.approx(2e-3, rel=1e-15)
-    assert q.r == 0.0
+@pytest.mark.parametrize("static", _STATIC, ids=["closed", "quadrature"])
+def test_static_epsilon_defaults_to_beta_fraction(static):
+    bath = BathParams(beta=2.0)
+    assert static(1.0, bath) == static(1.0, bath, r=0.0, epsilon=2e-3)
+    assert static(1.0, bath).imag == vacuum_wightman(1.0, 2e-3).imag
 
 
-def test_query_validation():
-    with pytest.raises(ValueError):
-        CorrelationQuery(s=1.0, beta=0.0)
-    with pytest.raises(ValueError):
-        CorrelationQuery(s=1.0, beta=1.0, r=-0.5)
-    with pytest.raises(ValueError):
-        CorrelationQuery(s=1.0, beta=1.0, epsilon=0.0)
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("static", _STATIC, ids=["closed", "quadrature"])
+def test_static_validation(static):
+    with pytest.raises(ValueError, match=r"^beta"):
+        static(1.0, BathParams(beta=0.0))
+    bath = BathParams(beta=1.0)
+    with pytest.raises(ValueError, match=r"^r must be non-negative and finite"):
+        static(1.0, bath, r=-0.5)
+    with pytest.raises(ValueError, match=r"^epsilon must lie in"):
+        static(1.0, bath, epsilon=0.0)
+    with pytest.raises(ValueError, match=r"^epsilon must lie in"):
         # regulator capped at a tenth of the thermal time
-        CorrelationQuery(s=1.0, beta=1.0, epsilon=0.2)
-    CorrelationQuery(s=1.0, beta=1.0, epsilon=0.1)
+        static(1.0, bath, epsilon=0.2)
+    static(1.0, bath, epsilon=0.1)
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf])
-def test_query_rejects_non_finite_distances(r):
+@pytest.mark.parametrize("static", _STATIC, ids=["closed", "quadrature"])
+def test_static_correlators_reject_non_finite_distances(static, r):
     with pytest.raises(ValueError, match=r"^r must be non-negative and finite"):
-        CorrelationQuery(s=1.0, beta=1.0, r=r)
+        static(1.0, BathParams(beta=1.0), r=r)
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
@@ -71,12 +76,19 @@ def test_query_rejects_non_finite_distances(r):
     [
         lambda s: wightman_moving(s, DetectorParams(1.0, 0.1, 0.5), BathParams(1.0)),
         lambda s: wightman_derivative(s, DetectorParams(1.0, 0.1, 0.0), BathParams(1.0)),
-        lambda s: wightman_static(CorrelationQuery(s=s, beta=1.0, r=0.5)),
+        lambda s: wightman_static(s, BathParams(1.0), r=0.5),
+        lambda s: wightman_static_quadrature(s, BathParams(1.0), r=0.5),
+        lambda s: wightman_moving_quadrature(s, DetectorParams(1.0, 0.1, 0.5), BathParams(1.0)),
+        lambda s: wightman_derivative_fd(s, DetectorParams(1.0, 0.1, 0.5), BathParams(1.0)),
+        lambda s: wightman_coincidence(s, 1.0),
     ],
-    ids=["moving", "derivative", "static"],
+    ids=[
+        "moving", "derivative", "static", "static-quadrature", "moving-quadrature", "fd",
+        "coincidence",
+    ],
 )
 def test_correlators_reject_non_finite_separations(s, correlator):
-    # refused, not warned of as a light-cone pole
+    # refused before any quadrature, not warned of as a light-cone pole
     with pytest.raises(ValueError, match=r"^separation s must be finite"):
         correlator(s)
 
@@ -101,11 +113,18 @@ def test_vacuum_wightman_closed_form():
         (lambda: thermal_sin_transform(math.nan, 1.0), r"p finite, got beta=1.0, p=nan$"),
         (lambda: vacuum_wightman(1.0, math.inf), r"^epsilon must be positive and finite"),
         (lambda: vacuum_wightman(math.nan, 1e-3), r"s finite, got epsilon=0.001, s=nan$"),
+        (lambda: vacuum_wightman(1.0, 1e-3, math.nan), r"^r must be non-negative .*, got nan$"),
+        (lambda: vacuum_wightman(1.0, 1e-3, math.inf), r"^r must be non-negative .*, got inf$"),
+        (lambda: vacuum_wightman(1.0, 1e-3, -1.0), r"^r must be non-negative .*, got -1.0$"),
     ],
-    ids=["sin-transform-beta-inf", "sin-transform-p-nan", "vacuum-epsilon-inf", "vacuum-s-nan"],
+    ids=[
+        "sin-transform-beta-inf", "sin-transform-p-nan", "vacuum-epsilon-inf", "vacuum-s-nan",
+        "vacuum-r-nan", "vacuum-r-inf", "vacuum-r-negative",
+    ],
 )
 def test_correlator_helpers_reject_non_finite_input(call, message):
-    # each returned a number (0.0, nan, nan+nanj, nan+nanj) in place of an error
+    # each returned a number (0.0, nan, nan+nanj, nan+nanj, nan+nanj,
+    # nan+nanj) in place of an error, or took a negative distance
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -169,9 +188,8 @@ def test_coincidence_term_and_static_identity():
     # static r = 0 value decomposes as vacuum + pole subtraction + image sum
     for beta in (0.5, 2.0):
         for s in (0.3, 1.1):
-            q = CorrelationQuery(s=s, beta=beta)
-            w = wightman_static(q)
-            vac = vacuum_wightman(s, q.epsilon)
+            w = wightman_static(s, BathParams(beta=beta))
+            vac = vacuum_wightman(s, 1e-3 * beta)
             thermal = 1.0 / (FOUR_PI2 * s * s) + wightman_coincidence(s, beta)
             assert w == pytest.approx(vac + thermal, rel=1e-12)
     with pytest.raises(ValueError):
@@ -190,9 +208,9 @@ def test_static_matches_quadrature():
     for beta in (0.5, 2.0):
         for s in (0.3, 0.7, 1.5):
             for r in (0.0, 0.2, 1.0):
-                q = CorrelationQuery(s=s * beta, beta=beta, r=r * beta)
-                w = wightman_static(q)
-                ref = wightman_static_quadrature(q)
+                args = (s * beta, BathParams(beta=beta), r * beta)
+                w = wightman_static(*args)
+                ref = wightman_static_quadrature(*args)
                 assert w.real == pytest.approx(ref.real, abs=1e-10)
                 assert w.imag == ref.imag  # same vacuum kernel on both sides
 
@@ -227,7 +245,7 @@ def test_mode_sum_column_agrees_with_the_closed_form_hot_and_cold(beta_omega):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_moving_quadrature_refuses_a_non_finite_separation(bad):
     # checked with the regulator, once per block, before any quadrature
-    with pytest.raises(ValueError, match="s finite"):
+    with pytest.raises(ValueError, match=r"^separation s must be finite"):
         wightman_moving_quadrature([0.5, bad, 1.0], _detector(0.5), BathParams(beta=1.0))
 
 
@@ -235,7 +253,7 @@ def test_moving_quadrature_is_continuous_in_the_speed():
     # the static mode sum at the boosted separation: no 1/v, no v = 0 branch
     bath = BathParams(beta=1.0)
     rest = wightman_moving_quadrature(2.0, _detector(0.0), bath)
-    assert rest == wightman_static_quadrature(CorrelationQuery(s=2.0, beta=1.0))
+    assert rest == wightman_static_quadrature(2.0, bath)
     slow = wightman_moving_quadrature(2.0, _detector(2e-6), bath)
     assert slow.real == pytest.approx(rest.real, rel=0, abs=1e-15)
 
@@ -277,24 +295,23 @@ def test_slicing_a_block_moves_no_value_beyond_its_estimates(slice_length, beta,
 @given(**_BLOCK)
 def test_block_oracle_has_the_closed_forms_imaginary_part(beta, v, fractions):
     bath, d = BathParams(beta=beta), _detector(v)
-    s = np.array(fractions) * beta
+    s = [f * beta for f in fractions]
     block = wightman_moving_quadrature(s, d, bath)
-    assert block.shape == s.shape and block.dtype == complex
-    assert block.imag.tolist() == [wightman_moving(x, d, bath).imag for x in s.tolist()]
-    assert np.all(np.abs(block.real - [wightman_moving(x, d, bath).real for x in s.tolist()]) < 1e-10)
+    assert len(block) == len(s) and all(type(w) is complex for w in block)
+    closed = [wightman_moving(x, d, bath) for x in s]
+    assert [w.imag for w in block] == [w.imag for w in closed]
+    assert all(abs(q.real - w.real) < 1e-10 for q, w in zip(block, closed))
 
 
-def test_moving_quadrature_of_a_float_is_a_complex_and_of_an_array_an_array():
+def test_moving_quadrature_of_a_float_is_a_complex_and_of_a_list_a_list():
     bath, d = BathParams(beta=1.0), _detector(0.5)
     w = wightman_moving_quadrature(0.7, d, bath)
     assert type(w) is complex
-    assert wightman_moving_quadrature(np.array([0.7]), d, bath).tolist() == [w]
-    # a list gives the list of the array's values
+    assert wightman_moving_quadrature([0.7], d, bath) == [w]
     s = [0.3, 0.7, 2.5]
-    block = wightman_moving_quadrature(np.array(s), d, bath)
-    assert wightman_moving_quadrature(s, d, bath) == block.tolist()
-    empty = wightman_moving_quadrature(np.array([]), d, bath)
-    assert empty.shape == (0,) and empty.dtype == complex
+    block = wightman_moving_quadrature(s, d, bath)
+    assert all(type(x) is complex for x in block) and len(block) == 3
+    assert wightman_moving_quadrature([], d, bath) == []
 
 
 def test_static_branch_in_a_bath_whose_beta_powers_underflow():
@@ -391,7 +408,7 @@ def test_frozen_values():
     wd = wightman_derivative(0.7, d, bath)
     assert wd.real == pytest.approx(0.5261421101669074, rel=1e-12)
     assert wd.imag == pytest.approx(0.003617069664733149, rel=1e-12)
-    ws = wightman_static(CorrelationQuery(s=0.6, beta=2.0, r=0.9))
+    ws = wightman_static(0.6, BathParams(beta=2.0), r=0.9)
     assert ws.real == pytest.approx(0.07283333748960621, rel=1e-12)
     assert ws.imag == pytest.approx(-0.00030019703869786304, rel=1e-12)
 
@@ -427,8 +444,8 @@ def test_moving_reduces_to_static_at_small_velocity():
 def test_static_r_to_zero_continuity():
     for beta in (0.5, 2.0):
         for s in (0.4, 1.2):
-            small = wightman_static(CorrelationQuery(s=s, beta=beta, r=1e-6))
-            zero = wightman_static(CorrelationQuery(s=s, beta=beta))
+            small = wightman_static(s, BathParams(beta=beta), r=1e-6)
+            zero = wightman_static(s, BathParams(beta=beta))
             # absolute floor covers the sine-transform difference noise
             assert abs(small - zero) < 1e-8 * abs(zero) + 1e-9
 
@@ -443,10 +460,8 @@ def test_negative_separation_is_conjugate():
         assert wightman_derivative(-s, d, bath) == pytest.approx(
             wightman_derivative(s, d, bath).conjugate(), rel=1e-13
         )
-        q = CorrelationQuery(s=s, beta=1.0, r=0.5)
-        qm = CorrelationQuery(s=-s, beta=1.0, r=0.5)
-        assert wightman_static(qm) == pytest.approx(
-            wightman_static(q).conjugate(), rel=1e-13
+        assert wightman_static(-s, bath, r=0.5) == pytest.approx(
+            wightman_static(s, bath, r=0.5).conjugate(), rel=1e-13
         )
 
 
@@ -461,9 +476,7 @@ def test_moving_frame_agrees_with_lab_frame():
         bath = BathParams(beta=1.0)
         for s in (0.5, 1.2):
             moving = wightman_moving(s, d, bath, epsilon=eps)
-            static = wightman_static(
-                CorrelationQuery(s=gamma * s, beta=1.0, r=gamma * v * s, epsilon=eps / gamma)
-            )
+            static = wightman_static(gamma * s, bath, r=gamma * v * s, epsilon=eps / gamma)
             assert abs(moving - static) < 1e-7 * abs(moving)
 
 
@@ -488,7 +501,7 @@ def test_pole_proximity_warning():
     with pytest.warns(PoleProximityWarning):
         wightman_derivative(5e-5, d, bath)
     with pytest.warns(PoleProximityWarning):
-        wightman_static(CorrelationQuery(s=5e-5, beta=1.0))
+        wightman_static(5e-5, bath)
     # comfortably away from the pole: no warning
     import warnings as _w
 
@@ -500,8 +513,8 @@ def test_pole_proximity_warning():
 @pytest.mark.parametrize(
     "query",
     [
-        lambda: wightman_static(CorrelationQuery(s=5e-5, beta=1.0)),
-        lambda: wightman_static(CorrelationQuery(s=0.5 + 5e-5, beta=1.0, r=0.5)),
+        lambda: wightman_static(5e-5, BathParams(beta=1.0)),
+        lambda: wightman_static(0.5 + 5e-5, BathParams(beta=1.0), r=0.5),
         lambda: wightman_moving(5e-5, _detector(0.4), BathParams(beta=1.0)),
         lambda: wightman_derivative(5e-5, _detector(0.4), BathParams(beta=1.0)),
     ],

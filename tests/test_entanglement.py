@@ -19,7 +19,6 @@ from atombath.coefficients import (
 )
 from atombath.dynamics import PAULI_PAIR, bell_state, shared_state
 from atombath.entanglement import (
-    XState,
     _spin_flip,
     concurrence,
     concurrence_closed_form,
@@ -89,59 +88,89 @@ def test_concurrence_rejects_invalid_input():
 # --- X states -------------------------------------------------------------------
 
 
-def test_xstate_round_trip_and_formula():
+def _xstate_formula(rho):
+    # the X formula one state at a time, in Python floats and complex abs
+    d = [rho[i, i].real for i in range(4)]
+    outer = abs(complex(rho[0, 3])) - math.sqrt(max(d[1] * d[2], 0.0))
+    inner = abs(complex(rho[1, 2])) - math.sqrt(max(d[0] * d[3], 0.0))
+    return 2.0 * max(0.0, outer, inner)
+
+
+def test_xstate_formula_matches_the_spectral_definition():
     rng = np.random.default_rng(31)
-    for _ in range(300):
-        x = random_xstate(rng)
-        rho = x.to_matrix()
-        back = XState.from_matrix(rho)
-        assert back.d1 == pytest.approx(x.d1, abs=1e-14)
-        assert back.a14 == pytest.approx(x.a14, abs=1e-14)
-        # closed formula against the spectral definition
-        assert concurrence_xstate(x) == pytest.approx(concurrence(rho), abs=1e-10)
+    stack = np.array([random_xstate(rng) for _ in range(300)])
+    for rho in stack:
+        assert concurrence_xstate(rho) == pytest.approx(concurrence(rho), abs=1e-10)
+        assert concurrence_xstate(rho) == _xstate_formula(rho)
+    # a stack gives the single states' floats, in an array of its leading shape
+    batched = concurrence_xstate(stack.reshape(3, 100, 4, 4))
+    assert batched.shape == (3, 100)
+    assert batched.ravel().tolist() == [concurrence_xstate(rho) for rho in stack]
+    assert type(concurrence_xstate(stack[0])) is float
 
 
-def test_xstate_validation():
-    with pytest.raises(ValueError):
-        XState(d1=0.5, d2=0.5, d3=0.5, d4=-0.5)  # negative population
-    with pytest.raises(ValueError):
-        XState(d1=0.5, d2=0.5, d3=0.5, d4=0.5)  # trace 2
-    with pytest.raises(ValueError):
-        # coherence above the positivity bound sqrt(d1 d4)
-        XState(d1=0.25, d2=0.25, d3=0.25, d4=0.25, a14=0.3 + 0j)
-    with pytest.raises(ValueError, match=r"^inner coherence"):
-        XState(d1=0.25, d2=0.25, d3=0.25, d4=0.25, a23=0.3 + 0j)
+def _x(d1, d2, d3, d4, a14=0j, a23=0j):
+    # the X matrix with these populations and coherences
+    rho = np.diag([d1, d2, d3, d4]).astype(complex)
+    rho[0, 3], rho[3, 0] = a14, np.conj(a14)
+    rho[1, 2], rho[2, 1] = a23, np.conj(a23)
+    return rho
 
 
 @pytest.mark.parametrize(
-    "entries, what",
+    "rho, message",
     [
-        ((math.nan, 0.5, 0.5, 0.0), "populations"),
-        # min() returns 0.0 here, ignoring the NaN after it
-        ((0.5, 0.5, 0.0, math.nan), "populations"),
-        ((0.5, 0.0, 0.0, 0.5, complex(math.nan, 0.0)), "outer coherence"),
-        ((0.0, 0.5, 0.5, 0.0, 0j, complex(0.0, math.nan)), "inner coherence"),
+        (_x(0.5, 0.5, 0.5, -0.5), "matrix has negative eigenvalue"),
+        (_x(0.5, 0.5, 0.5, 0.5), "trace must be 1"),
+        # each coherence above its positivity bound: sqrt(d1 d4), sqrt(d2 d3)
+        (_x(0.25, 0.25, 0.25, 0.25, a14=0.3 + 0j), "matrix has negative eigenvalue"),
+        (_x(0.25, 0.25, 0.25, 0.25, a23=0.3 + 0j), "matrix has negative eigenvalue"),
     ],
+    ids=["negative-population", "trace-2", "outer-coherence", "inner-coherence"],
 )
-def test_xstate_rejects_nan_entries(entries, what):
-    with pytest.raises(ValueError, match=f"^{what}"):
-        XState(*entries)
+def test_xstate_route_refuses_unphysical_states(rho, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        concurrence_xstate(rho)
 
 
-def test_from_matrix_rejects_stray_entries():
-    rho = bell_state()
-    rho = rho.copy()
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (math.nan, 0.5, 0.5, 0.0),
+        (0.5, 0.5, 0.0, math.nan),
+        (0.5, 0.0, 0.0, 0.5, complex(math.nan, 0.0)),
+        (0.0, 0.5, 0.5, 0.0, 0j, complex(0.0, math.nan)),
+    ],
+    ids=["d1", "d4", "outer-coherence", "inner-coherence"],
+)
+def test_xstate_route_refuses_nan_entries(entries):
+    with pytest.raises(ValueError, match=r"^matrix has a non-finite entry"):
+        concurrence_xstate(_x(*entries))
+
+
+def test_xstate_route_refuses_stray_entries():
+    werner = 0.5 * bell_state() + np.eye(4) / 8.0  # concurrence 1/4
+    rho = werner.copy()
     rho[0, 1] = 0.05
     rho[1, 0] = 0.05
-    with pytest.raises(ValueError):
-        XState.from_matrix(rho)
+    with pytest.raises(ValueError, match=r"^matrix is not X shaped: stray entry 5\.000e-02$"):
+        concurrence_xstate(rho)
+    # an entry at the tolerance is ignored; in a stack the first stray state is named
+    rho[0, 1] = rho[1, 0] = 1e-12
+    assert concurrence_xstate(rho) == pytest.approx(0.25, abs=1e-12)
+    stack = np.array([werner, werner, werner])
+    stack[1, 2, 0] = stack[1, 0, 2] = 1e-6
+    with pytest.raises(ValueError, match=r"^state 1: matrix is not X shaped"):
+        concurrence_xstate(stack)
 
 
 def test_evolved_bell_is_an_x_state():
-    for tau in (0.0, 0.5, 2.0):
+    taus = (0.0, 0.5, 2.0)
+    for tau in taus:
         rho = shared_state(COEFFS, tau)
-        x = XState.from_matrix(rho)
-        assert concurrence_xstate(x) == pytest.approx(concurrence(rho), abs=1e-12)
+        assert concurrence_xstate(rho) == pytest.approx(concurrence(rho), abs=1e-12)
+    stack = shared_state(COEFFS, np.array(taus))
+    assert concurrence_xstate(stack).tolist() == [concurrence_xstate(rho) for rho in stack]
 
 
 # --- closed-form curve -----------------------------------------------------------
@@ -284,7 +313,7 @@ def test_death_time_decreases_with_occupation():
 
 def test_stacked_concurrence_equals_the_single_state_results():
     rng = np.random.default_rng(17)
-    xstates = [random_xstate(rng).to_matrix() for _ in range(40)]
+    xstates = [random_xstate(rng) for _ in range(40)]
     evolved = shared_state(COEFFS, np.linspace(0.0, 3.0, 60))
     stack = np.concatenate([np.array(xstates), evolved])
     batched = concurrence(stack)

@@ -5,11 +5,9 @@ import math
 
 import numpy as np
 
-from atombath.entanglement import XState
 
-
-def random_xstate(rng: np.random.Generator) -> XState:
-    """Draw a physical X state.
+def random_xstate(rng: np.random.Generator) -> np.ndarray:
+    """Draw the 4x4 density matrix of a physical X state.
 
     Populations from a flat Dirichlet, each coherence modulus uniform
     inside its positivity disk, phases uniform.
@@ -19,11 +17,9 @@ def random_xstate(rng: np.random.Generator) -> XState:
     m23 = rng.uniform(0.0, math.sqrt(d[1] * d[2]))
     ph14 = rng.uniform(0.0, 2.0 * math.pi)
     ph23 = rng.uniform(0.0, 2.0 * math.pi)
-    return XState(
-        d1=float(d[0]),
-        d2=float(d[1]),
-        d3=float(d[2]),
-        d4=float(d[3]),
-        a14=m14 * cmath.exp(1j * ph14),
-        a23=m23 * cmath.exp(1j * ph23),
-    )
+    a14 = m14 * cmath.exp(1j * ph14)
+    a23 = m23 * cmath.exp(1j * ph23)
+    rho = np.diag(d).astype(complex)
+    rho[0, 3], rho[3, 0] = a14, a14.conjugate()
+    rho[1, 2], rho[2, 1] = a23, a23.conjugate()
+    return rho
