@@ -431,30 +431,57 @@ def render_json(cols: tuple[str, ...], blocks: Iterable[_Block]) -> list[str]:
     already the ``repr``: no other decimal of 12 digits or fewer rounds
     to the same double.  The two differ only for exponents +11 to +15
     (``.12`` turns to exponent form there, ``repr`` at +16), subnormals
-    (fewer digits round-trip) and inf/nan; one ``re.sub`` per piece
-    rewrites those, in the pre-rendered prefix and axis text as well.
+    (fewer digits round-trip) and inf/nan.  One ``re.sub`` rewrites
+    those, in the pre-rendered prefix and axis text as well, but runs
+    only on a piece whose block holds a value outside the tame range: a
+    block whose every value is 0, or finite with 1e-300 < |x| < 1e10,
+    is left as formatted.
     """
     keys = [json.dumps(c).replace("{", "{{").replace("}", "}}") for c in cols]
     pieces = []
-    for fields, n, values in _layout(blocks, ".12", "{}", "{:.12}"):
+    for fields, n, values, tame in _layout(blocks, ".12", "{}", "{:.12}", _tame):
         row = "  {{\n" + ",\n".join([f"    {k}: {f}" for k, f in zip(keys, fields)]) + "\n  }}"
         text = ",\n".join([row] * n).format(*values)
-        # a string pattern: re's cache compiles it on the first call, not at import
-        pieces.append((",\n" if pieces else "[\n") + re.sub(_JSON_REPR_DIFFERS, _json_repr, text))
+        if not tame:
+            # a string pattern: re's cache compiles it on the first call, not at import
+            text = re.sub(_JSON_REPR_DIFFERS, _json_repr, text)
+        pieces.append((",\n" if pieces else "[\n") + text)
     pieces.append("\n]\n" if pieces else "[]\n")
     return pieces
 
 
-def _layout(blocks: Iterable[_Block], spec: str, slot: str, value: str):
+def _layout(
+    blocks: Iterable[_Block],
+    spec: str,
+    slot: str,
+    value: str,
+    test: Callable[[Sequence[float]], bool] | None = None,
+):
     # each block as the format fields of its rows, its row count and the
     # values that fill them: the prefix rendered into the fields with spec,
-    # the axis rendered with spec once per scan and filled in at slot
+    # the axis rendered with spec once per scan and filled in at slot; given
+    # a test of a list of numbers, each block also with whether its prefix,
+    # its axis (tested once per scan) and each of its columns pass it
     shared = axis_text = None
     for prefix, axis, columns in blocks:
         if axis is not shared:
             shared, axis_text = axis, [format(s, spec) for s in axis]
+            axis_passes = test and test(axis)
         fields = [format(x, spec) for x in prefix] + [slot] + [value] * len(columns)
-        yield fields, len(axis), chain.from_iterable(zip(axis_text, *columns))
+        laid = fields, len(axis), chain.from_iterable(zip(axis_text, *columns))
+        if test is None:
+            yield laid
+        else:
+            yield *laid, axis_passes and test(prefix) and all(map(test, columns))
+
+
+def _tame(xs: Sequence[float]) -> bool:
+    # whether every x is 0 or finite with 1e-300 < |x| < 1e10, a range where
+    # {:.12} writes x as repr does, with a margin on either side; a nan or
+    # an inf leaves the sum of the magnitudes not below inf
+    mags = list(map(abs, xs))
+    tiniest = min(filter(None, mags), default=1.0)  # zeros are tame
+    return sum(mags) < math.inf and max(mags, default=0.0) < 1e10 and tiniest > 1e-300
 
 
 def _json_repr(match: re.Match) -> str:

@@ -220,13 +220,19 @@ def _reference_json(cols, rows):
 # where repr leaves fixed notation (1e-4 / 1e-5, 1e16), the float ends,
 # signed zeros, the non-finite values and whole numbers; where 12 digits
 # in general format leave fixed notation (1e11) and repr does not, values
-# that round up to a whole number, and the subnormals and their border
+# that round up to a whole number, and the subnormals and their border;
+# both sides of the two borders of the range where render_json skips its
+# fix-up pass (1e-300 < |x| < 1e10), a normal just above 1e-308 and a
+# subnormal far above 4.35e-322 whose 12 digits are not its repr
 _RENDER_EDGES = st.sampled_from(
     [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]
     + [1e-4, 9.99999999999e-5, 1.00000000001e-4, 1e-5, 9.99999999995e-5, -1e-4]
     + [1e16, 9.999999999995e15, 1.00000000001e16, -1e16, 1e15, 1234567.0, -42.0]
     + [1e11, 99999999999.99, 1.5e13, -1.23456789012e15, 9.9999999999995e15]
     + [99.9999999999996, 4.35e-322, 1e-310, 2.2250738585072014e-308, 2.225073858507e-308]
+    + [9.999999999e9, -9.999999999e9, 1e10, -1e10, 1.0000000001e10, -1.0000000001e10]
+    + [1e-300, -1e-300, 1.0000000001e-300, -1.0000000001e-300, 9.99999999e-301]
+    + [-9.99999999e-301, 1e-307, 3.14159265359e-316]
 )
 _RENDER_VALUES = st.one_of(
     _RENDER_EDGES,
@@ -277,6 +283,8 @@ def _cuts(cols, rows):
 @example(table=(("a",), []))
 @example(table=(("x%s", "%d"), [[math.inf, -math.inf], [math.nan, -0.0]]))
 @example(table=(("{", "}}", "{0}", "%s"), [[1e11, 4.35e-322, -math.inf, math.nan]]))
+# one block of two rows: a tame column next to one with a subnormal
+@example(table=(("s", "tame", "tiny"), [[0.5, 0.25, 3.14159265359e-316], [1.5, 0.0, 0.75]]))
 def test_renderers_match_the_per_value_reference(table):
     cols, rows = table
     for blocks, shown in _cuts(cols, rows):
@@ -345,6 +353,16 @@ def test_json_matches_csv_values(capsys):
     for col, raw in zip(header, values):
         assert data[0][col] == pytest.approx(float(raw), rel=1e-15)
     assert data[0]["n_udw"] == pytest.approx(0.5451001391331534, rel=1e-10)
+
+    # a frozen bath's block (inf) next to a tame one: the whole document
+    args = ["death-time", "--beta-omega", "0.5,800", "--velocity", "0,0.5", "--oracle"]
+    assert main(args + ["--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert main(args) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    rows = [[float(x) for x in line.split(",")] for line in lines]
+    assert text == _reference_json(header.split(","), rows)
+    assert '"inf"' in text and math.isfinite(rows[0][2])
 
 
 def test_death_time_emits_inf_literal(capsys):
