@@ -34,13 +34,12 @@ from .coefficients import (
     DetectorParams,
     LindbladCoefficients,
     _beta_omega,
+    _window_occupations,
     gamma_td,
     gamma_udw,
     lindblad_coefficients,
     n_td,
-    n_td_quadrature,
     n_udw,
-    n_udw_quadrature,
     rate_unit,
 )
 from .correlations import (
@@ -306,11 +305,13 @@ def _run_coeffs(cfg: ScanConfig):
     for coupling, gamma in ((Coupling.UDW, gamma_udw), (Coupling.DERIVATIVE, gamma_td)):
         unit = rate_unit(DetectorParams(cfg.omega, cfg.coupling_strength, 0.0, coupling, cfg.v_max))
         rates.append([gamma(det) / unit for det in dets])
-    occupations = (n_udw, n_td, n_udw_quadrature, n_td_quadrature)[: 4 if cfg.oracle else 2]
     for bw, bath in baths:
-        # speed by speed, as the rows print, so a failure names the first bad row
-        n_u, n_t, *checks = zip(*[[n(det, bath) for n in occupations] for det in dets])
-        yield (bw,), cfg.velocity, [n_u, n_t, *rates, *checks]
+        columns = [[n(det, bath) for det in dets] for n in (n_udw, n_td)] + rates
+        if cfg.oracle:
+            # both window oracles over the whole block: a failure names the
+            # first bad speed in row order
+            columns += _window_occupations(_beta_omega(bath, cfg.omega), cfg.velocity)
+        yield (bw,), cfg.velocity, columns
 
 
 def _run_death_time(cfg: ScanConfig):

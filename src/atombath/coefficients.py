@@ -27,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from . import _np as np
 from .specfun import bose_head_ratio, bose_window, certified_gk21
@@ -65,6 +66,10 @@ _TAYLOR_BV = 3e-3
 _TINY_WINDOW = 1e-100
 
 DEFAULT_V_MAX = 0.99
+
+# speeds per window quadrature call in a block: a call's node arrays, two
+# components per speed x up to 400 panels x 21 nodes, stay near 2 MB
+_WINDOW_SLICE = 16
 
 
 class Coupling(Enum):
@@ -351,46 +356,75 @@ def lindblad_coefficients(detector: DetectorParams, bath: BathParams) -> Lindbla
     return LindbladCoefficients(gamma=gamma, n=n, omega_eff=detector.omega)
 
 
-def _window_mean(b: float, v: float, power: int) -> tuple[float, float, float]:
-    # the mean of (x/b)^power P(x) over the Doppler window, x = lo + w t for
-    # t in [0, 1]: the width w = b*(blue - red) is taken whole, so no rounded
-    # edge difference is divided by v, and at v = 0 the window is its one point
-    red, _ = doppler_shifts(v)
-    lo = b * red
-    w = b * (2.0 * v) / math.sqrt(1.0 - v * v)
+def _window_mean(b: float, speeds: Sequence[float], powers: tuple[int, ...]):
+    """Window means of ``(x/b)^p P(x)``, ``P`` the Planck occupation, over
+    the Doppler window ``x = lo + w t``, ``t`` in [0, 1], at each speed and power.
+
+    Every (speed, power) pair is one component, speed by speed, of one
+    :func:`~atombath.specfun.certified_gk21` call on one shared mesh, so a
+    value's last digits may move with the speeds around it, within its error
+    estimate.  Returns lists over the speeds of ``scale = e^-lo`` and ``unit``,
+    then ``(speeds, powers)`` arrays of the means (times ``unit``, without
+    ``scale``) and of their error estimates.  A failure names the first
+    speed with a component the mesh could not certify.
+    """
+    # the width w = b*(blue - red) is taken whole, so no rounded edge
+    # difference is divided by v, and at v = 0 the window is its one point
+    los = [b * doppler_shifts(v)[0] for v in speeds]
+    widths = [b * (2.0 * v) / math.sqrt(1.0 - v * v) for v in speeds]
     # e^-lo is taken out of the integrand, which then keeps its red-edge size
     # however cold the bath, and returned apart: callers apply it last, so a
     # subnormal n is not flushed to 0; where e^-lo underflows, so does the window
-    scale = math.exp(-lo)
-    if scale == 0.0:
-        return 0.0, 1.0, 0.0
+    scales = [math.exp(-lo) for lo in los]
     # in the hottest baths the integrand ~1/lo passes the largest float: unit, the
     # power of two just above lo (1 from lo = 0.5 up), scales it exactly before the
     # 1/x, and callers divide it out after their prefactor, before e^-lo
-    unit = math.ldexp(1.0, min(0, math.frexp(lo)[1]))
+    units = [math.ldexp(1.0, min(0, math.frexp(lo)[1])) for lo in los]
+    vals = np.zeros((len(speeds), len(powers)))
+    errs = np.zeros((len(speeds), len(powers)))
+    live = [i for i, scale in enumerate(scales) if scale]
+    if not live:
+        return scales, units, vals, errs
+    lo, w, unit = (np.array([xs[i] for i in live])[:, None] for xs in (los, widths, units))
 
     def integrand(t):
         x = lo + w * t
         # 1/(e^x - 1) written with e^-x, which cannot overflow past x = 709
-        return ((x / b) ** power * np.exp(lo - x) * unit / -np.expm1(-x))[None]
+        e, d = np.exp(lo - x), -np.expm1(-x)
+        return np.stack([(x / b) ** p * e * unit / d for p in powers], axis=1).reshape(-1, len(t))
 
     # epsabs=0 keeps the stopping target relative, as the check is; cold
     # windows have values far below any fixed absolute target
-    what = f"window quadrature for b={b}, v={v}"
-    val, _ = certified_gk21(
-        integrand, (0.0, 1.0), what, 1e-10, 1e-280, epsabs=0.0, epsrel=1e-12, limit=400
+    val, err = certified_gk21(
+        integrand, (0.0, 1.0),
+        lambda k: f"window quadrature for b={b}, v={speeds[live[k // len(powers)]]}",
+        1e-10, 1e-280, epsabs=0.0, epsrel=1e-12, limit=400,
     )
-    return scale, unit, float(val[0])
+    vals[live] = val.reshape(len(live), len(powers))
+    errs[live] = err.reshape(len(live), len(powers))
+    return scales, units, vals, errs
+
+
+def _window_occupations(b: float, speeds: Sequence[float], powers: tuple[int, ...] = (0, 2)):
+    # the occupations at every speed, one list per power (n_udw for 0, n_td for
+    # 2), from one _window_mean call per _WINDOW_SLICE speeds
+    columns = [[] for _ in powers]
+    for lo in range(0, len(speeds), _WINDOW_SLICE):
+        part = speeds[lo : lo + _WINDOW_SLICE]
+        scales, units, means, _ = _window_mean(b, part, powers)
+        for v, scale, unit, row in zip(part, scales, units, means.tolist()):
+            # n_td's weight first, then unit and, last, e^-lo divided back out
+            td = 3.0 * (1.0 - v * v) / (3.0 + v * v)
+            for column, p, mean in zip(columns, powers, row):
+                column.append((td if p else 1.0) * mean / unit * scale)
+    return columns
 
 
 def n_udw_quadrature(detector: DetectorParams, bath: BathParams) -> float:
     """Brute-force cross-check of :func:`n_udw`: the window mean by quadrature."""
-    scale, unit, val = _window_mean(_beta_omega(bath, detector.omega), detector.velocity, 0)
-    return val / unit * scale
+    return _window_occupations(_beta_omega(bath, detector.omega), [detector.velocity], (0,))[0][0]
 
 
 def n_td_quadrature(detector: DetectorParams, bath: BathParams) -> float:
     """Brute-force cross-check of :func:`n_td`: the cubic-weighted window mean by quadrature."""
-    v = detector.velocity
-    scale, unit, val = _window_mean(_beta_omega(bath, detector.omega), v, 2)
-    return 3.0 * (1.0 - v * v) / (3.0 + v * v) * val / unit * scale
+    return _window_occupations(_beta_omega(bath, detector.omega), [detector.velocity], (2,))[0][0]

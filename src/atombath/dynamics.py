@@ -69,8 +69,6 @@ def _arrays() -> dict:
         "_N_UP": l_down @ l_up,
         "_SZ": np.kron(pauli[3], i2),
         "_EYE16": np.eye(16),
-        # bloch_from_density(bell_state()), exact; literal, so that no eigensolve runs
-        "_BELL": np.diag([0.25, 0.25, -0.25, 0.25]),
     }
     # the channels as 16x16 superoperators on row-major flattened 4x4 matrices:
     # column k is the channel of the k-th matrix unit
@@ -244,20 +242,9 @@ def evolve_closed_form(
     4x4 tensor, an array of times a ``tau.shape + (4, 4)`` stack.
     """
     u0 = check_bloch_tensor(u0)
-    tau = np.asarray(tau, dtype=float)
-    _reject_first(~(tau >= 0.0), lambda i: f"tau must be non-negative, got {float(tau[i])!r}")
-    _reject_first(tau == math.inf, lambda i: f"tau must be finite, got {float(tau[i])!r}")
-    a, b, om = coeffs.a, coeffs.b, coeffs.omega_eff
-    times = tau.ravel().tolist()
-    # exp, cos and sin from math, one time at a time, as for every other
-    # closed form here: numpy's vector versions can differ in the last
-    # bit, which the Wootters oracle turns into ~1e-12 on near-pure states
-    exp, cos, sin, half, neg = math.exp, math.cos, math.sin, -0.5 * a, -a
-    col = tau.shape + (1,)
-    e_half = np.array([exp(half * t) for t in times]).reshape(col)
-    e_full = np.array([exp(neg * t) for t in times]).reshape(col)
-    cos_ = np.array([cos(om * t) for t in times]).reshape(col)
-    sin_ = np.array([sin(om * t) for t in times]).reshape(col)
+    tau, *factors = _factors(coeffs, tau)
+    e_half, e_full, cos_, sin_ = (f.reshape(tau.shape + (1,)) for f in factors)
+    a, b = coeffs.a, coeffs.b
     r0, r1, r2, r3 = (u0[..., i, :] for i in range(4))
     u = np.empty(np.broadcast_shapes(tau.shape + (1, 1), u0.shape))
     u[..., 0, :] = r0
@@ -265,6 +252,23 @@ def evolve_closed_form(
     u[..., 2, :] = e_half * (sin_ * r1 + cos_ * r2)
     u[..., 3, :] = e_full * r3 + (b / a) * (1.0 - e_full) * r0
     return u
+
+
+def _factors(coeffs: LindbladCoefficients, tau: float | np.ndarray) -> list[np.ndarray]:
+    # tau as a checked float array, then e^(-a tau/2), e^(-a tau), cos(omega_eff tau)
+    # and sin(omega_eff tau) at each time, as arrays of tau's shape
+    tau = np.asarray(tau, dtype=float)
+    _reject_first(~(tau >= 0.0), lambda i: f"tau must be non-negative, got {float(tau[i])!r}")
+    _reject_first(tau == math.inf, lambda i: f"tau must be finite, got {float(tau[i])!r}")
+    a, om = coeffs.a, coeffs.omega_eff
+    times = tau.ravel().tolist()
+    # exp, cos and sin from math, one time at a time, as for every other
+    # closed form here: numpy's vector versions can differ in the last
+    # bit, which the Wootters oracle turns into ~1e-12 on near-pure states
+    return [tau] + [
+        np.array([f(x * t) for t in times]).reshape(tau.shape)
+        for f, x in ((math.exp, -0.5 * a), (math.exp, -a), (math.cos, om), (math.sin, om))
+    ]
 
 
 def default_rk4_step(coeffs: LindbladCoefficients) -> float:
@@ -321,9 +325,27 @@ def evolve_numeric(rho0: np.ndarray, coeffs: LindbladCoefficients, tau: float) -
 def shared_state(coeffs: LindbladCoefficients, tau: float | np.ndarray) -> np.ndarray:
     """Joint state at proper time ``tau`` for the maximally entangled start.
 
-    :func:`bell_state` evolved by :func:`evolve_closed_form` and
-    reassembled: an X-shaped matrix whose coherences rotate and damp at
-    half the rate of the population relaxation.  A scalar ``tau`` gives
-    one 4x4 matrix, an array of times a ``tau.shape + (4, 4)`` stack.
+    :func:`bell_state` evolved in closed form, built directly as its X
+    matrix: four populations and the outer coherences ``rho_03 = rho_30*``,
+    which rotate and damp at half the rate of the population relaxation.
+    Each entry is rounded as :func:`evolve_closed_form` rounds the Bell
+    tensor's entries and :func:`density_from_bloch` sums them, so the state
+    equals that route's bit for bit.  Takes the same ``tau`` with the same
+    checks: a scalar gives one 4x4 matrix, an array of times a
+    ``tau.shape + (4, 4)`` stack.
     """
-    return density_from_bloch(evolve_closed_form(_arrays()["_BELL"], coeffs, tau))
+    tau, e_half, e_full, cos_, sin_ = _factors(coeffs, tau)
+    # the evolved Bell tensor's nonzero entries besides u_00 = 1/4: u_11 = -u_22,
+    # u_12 = u_21, u_30 and u_33
+    u11, u12 = e_half * (0.25 * cos_), e_half * (0.25 * sin_)
+    u30, u33 = coeffs.b / coeffs.a * (1.0 - e_full) * 0.25, e_full * 0.25
+    rho = np.zeros(tau.shape + (4, 4), dtype=complex)
+    re, im = rho.real, rho.imag
+    re[..., 0, 0] = 0.25 + u30 + u33
+    re[..., 1, 1] = 0.25 + u30 - u33
+    re[..., 2, 2] = 0.25 - u30 - u33
+    re[..., 3, 3] = 0.25 - u30 + u33
+    re[..., 0, 3] = re[..., 3, 0] = u11 + u11
+    im[..., 3, 0] = u12 + u12
+    im[..., 0, 3] = -im[..., 3, 0]
+    return rho

@@ -126,11 +126,21 @@ def concurrence_closed_form(
     if taus and not (all(map(math.isfinite, taus)) and min(taus) >= 0.0):
         bad = next(t for t in taus if not 0.0 <= t < math.inf)
         raise ValueError(f"tau must be non-negative and finite, got {bad!r}")
-    a = coeffs.a
-    k = 2.0 * coeffs.gamma * _sqrt_n_n1(coeffs.n)
-    half, neg, two_a, exp = -0.5 * a, -a, 2.0 * a, math.exp
-    c = [max(0.0, exp(half * t) - (1.0 - exp(neg * t)) * k / two_a) for t in taus]
+    c = _curve(taus, *_curve_constants(coeffs))
     return c if isinstance(tau, list) else c[0]
+
+
+def _curve_constants(coeffs: LindbladCoefficients) -> tuple[float, float, float, float]:
+    # -a/2, -a, k = 2 gamma sqrt(n (n+1)) and 2a: what _curve reads of the rates
+    a = coeffs.a
+    return -0.5 * a, -a, 2.0 * coeffs.gamma * _sqrt_n_n1(coeffs.n), 2.0 * a
+
+
+def _curve(taus, half: float, neg: float, k: float, two_a: float) -> list[float]:
+    # the closed-form concurrence at each of taus, unchecked; one comprehension,
+    # not a function call per time
+    exp = math.exp
+    return [max(0.0, exp(half * t) - (1.0 - exp(neg * t)) * k / two_a) for t in taus]
 
 
 def _sqrt_n_n1(n: float) -> float:
@@ -169,24 +179,28 @@ def sudden_death_time(coeffs: LindbladCoefficients) -> float:
 def sudden_death_time_bisection(coeffs: LindbladCoefficients) -> float:
     """Bracketing cross-check of :func:`sudden_death_time`.
 
-    Bisects on the sign of :func:`concurrence_closed_form`.  The bracket
-    starts at ``[0, 1/a]`` and doubles its right end until the curve is
-    zero there, which for any ``n > 0`` happens by ``1024/a`` (the root
-    lies below ``~745/a`` even at the smallest positive ``n``).  It then
-    halves until the midpoint equals an end, so the result is resolved to
-    the float spacing at any scale of ``a``.  Only ``n = 0``, where the
-    curve never reaches zero, gives ``math.inf``.
+    Bisects on the sign of :func:`concurrence_closed_form`'s curve, whose
+    constants are taken once per call: each probe evaluates the same
+    expression, unchecked, so the result equals a bisection on checked
+    float calls bit for bit.  The bracket starts at ``[0, 1/a]`` and
+    doubles its right end until the curve is zero there, which for any
+    ``n > 0`` happens by ``1024/a`` (the root lies below ``~745/a`` even
+    at the smallest positive ``n``).  It then halves until the midpoint
+    equals an end, so the result is resolved to the float spacing at any
+    scale of ``a``.  Only ``n = 0``, where the curve never reaches zero,
+    gives ``math.inf``.
     """
     if coeffs.n == 0.0:
         return math.inf
+    half, neg, k, two_a = _curve_constants(coeffs)
     lo, hi = 0.0, 1.0 / coeffs.a
-    while concurrence_closed_form(coeffs, hi) > 0.0:
+    while _curve((hi,), half, neg, k, two_a)[0] > 0.0:
         lo, hi = hi, 2.0 * hi
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
-        if concurrence_closed_form(coeffs, mid) > 0.0:
+        if _curve((mid,), half, neg, k, two_a)[0] > 0.0:
             lo = mid
         else:
             hi = mid

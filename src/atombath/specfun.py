@@ -83,17 +83,20 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested accuracy."""
 
 
-def certify(value, error, what: str, rtol: float, floor: float):
+def certify(value, error, what, rtol: float, floor: float):
     """``value`` if its error estimate certifies it, for a float or an array.
 
     Every component must be finite with an error estimate of at most
     ``rtol * max(|value|, floor)``; otherwise :class:`QuadratureError`
-    names ``what`` and the first failing component's estimate.  The one
-    acceptance rule of the quadrature oracles.
+    names ``what`` and the first failing component's estimate.  ``what``
+    is a string, or a function of that component's flat index that
+    returns one.  The one acceptance rule of the quadrature oracles.
     """
     ok = np.isfinite(value) & (error <= rtol * np.maximum(np.abs(value), floor))
     if not np.all(ok):
         err = np.extract(~ok, error)[0]
+        if callable(what):
+            what = what(int(np.argmin(ok)))
         raise QuadratureError(f"{what} only reached an error estimate of {err:.3e}")
     return value
 

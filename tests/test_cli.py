@@ -1042,6 +1042,23 @@ def test_oracle_slices_do_not_change_rows(capsys):
     assert float(whole[n].split(",")[-1]) > 0.0
 
 
+def test_uncertified_window_oracle_names_the_first_bad_cell(monkeypatch, capsys):
+    # on a one-panel mesh (0.5, 0.99) is the first row the window oracles
+    # cannot certify at beta_omega = 5, (50, 0.5) the first at 50
+    from atombath import coefficients
+
+    certified_gk21 = coefficients.certified_gk21
+    monkeypatch.setattr(
+        coefficients, "certified_gk21", lambda *a, **k: certified_gk21(*a, **{**k, "limit": 1})
+    )
+    for beta_omega, cell in (("5,50", "b=5.0, v=0.99"), ("50,5", "b=50.0, v=0.5")):
+        argv = ["coeffs", "--beta-omega", beta_omega, "--velocity", "0,0.5,0.99", "--oracle"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"numerical failure: window quadrature for {cell} only reached")
+
+
 def test_coeffs_oracle_in_a_frozen_bath(capsys):
     # the window quadrature formed x**2 past the overflow of a float, and the
     # v^2 Taylor branches formed inf*0 once 4*r or b*2 overflowed (1.7e308)

@@ -271,6 +271,63 @@ def test_window_quadratures_match_quadpack():
                 assert abs(oracle - expected) <= 1e-14 * expected, (b, v)
 
 
+_BLOCK_SPEEDS = (0.0, 1e-300, 1e-5, 0.5, 0.99)
+
+
+@pytest.mark.parametrize("b", [100.0, 740.0, 1e-300, 1e-20])
+def test_block_window_means_agree_with_one_speed_calls(b):
+    # one mesh for every speed and both powers: each value within the summed
+    # error estimates of its own one-speed, one-power call
+    from atombath.coefficients import _window_mean
+
+    scales, units, vals, errs = _window_mean(b, _BLOCK_SPEEDS, (0, 2))
+    assert vals.shape == errs.shape == (len(_BLOCK_SPEEDS), 2)
+    for i, v in enumerate(_BLOCK_SPEEDS):
+        for j, power in enumerate((0, 2)):
+            (scale,), (unit,), val, err = _window_mean(b, [v], (power,))
+            assert (scales[i], units[i]) == (scale, unit), (b, v)
+            assert abs(vals[i, j] - val[0, 0]) <= errs[i, j] + err[0, 0], (b, v, power)
+            assert vals[i, j] > 0.0
+
+
+def test_block_wider_than_the_speed_cap_equals_its_slices():
+    from atombath.coefficients import _WINDOW_SLICE, _window_occupations, _window_mean
+
+    speeds = tuple(np.linspace(0.0, 0.99, 2 * _WINDOW_SLICE + 3).tolist())
+    for b in (1e-300, 0.5, 740.0):
+        udw, td = _window_occupations(b, speeds)
+        assert len(udw) == len(td) == len(speeds)
+        for lo in range(0, len(speeds), _WINDOW_SLICE):
+            part = speeds[lo : lo + _WINDOW_SLICE]
+            scales, units, means, _ = _window_mean(b, part, (0, 2))
+            for k, v in enumerate(part):
+                det = _detector(v)
+                expected = means[k].tolist()
+                assert udw[lo + k] == expected[0] / units[k] * scales[k]
+                weight = 3.0 * (1.0 - v * v) / (3.0 + v * v)
+                assert td[lo + k] == weight * expected[1] / units[k] * scales[k]
+                # and each agrees with the closed forms, as the one-speed oracles do
+                assert udw[lo + k] == pytest.approx(n_udw(det, BathParams(b)), rel=1e-10)
+
+
+def test_block_window_failure_names_the_first_bad_speed(monkeypatch):
+    # at beta*omega = 50 a one-panel mesh certifies the narrow windows (v up to
+    # 0.1), not the wide ones: the error names the first wide speed in row order
+    from atombath import coefficients
+    from atombath.specfun import QuadratureError
+
+    certified_gk21 = coefficients.certified_gk21
+    monkeypatch.setattr(
+        coefficients, "certified_gk21", lambda *a, **k: certified_gk21(*a, **{**k, "limit": 1})
+    )
+    for speeds, bad in (((0.0, 1e-300, 1e-5, 0.5, 0.99), 0.5), ((1e-300, 0.99, 0.5), 0.99)):
+        with pytest.raises(QuadratureError, match=rf"^window quadrature for b=50.0, v={bad} only"):
+            coefficients._window_occupations(50.0, speeds)
+    # the one-speed oracles keep their text
+    with pytest.raises(QuadratureError, match=r"^window quadrature for b=50.0, v=0.5 only reached"):
+        n_td_quadrature(_detector(0.5, Coupling.DERIVATIVE), BathParams(50.0))
+
+
 @pytest.mark.parametrize("v", [1e-8, 1e-6])
 def test_window_quadratures_keep_a_subnormal_occupation(v):
     # n is 4.2e-322 here: e^-lo must come last, after the window mean, or

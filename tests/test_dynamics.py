@@ -58,7 +58,9 @@ def test_module_serves_exactly_its_built_arrays():
     # __getattr__ serves each name _arrays built as the one cached array, and
     # refuses any other name
     built = dynamics._arrays()
-    assert {"PAULI", "PAULI_PAIR", "_BELL", "_S_ROT", "_S_DOWN", "_S_UP"} <= built.keys()
+    assert {"PAULI", "PAULI_PAIR", "_S_ROT", "_S_DOWN", "_S_UP"} <= built.keys()
+    # shared_state builds its X matrix directly: no Bell tensor is kept
+    assert "_BELL" not in built
     for name in built:
         assert getattr(dynamics, name) is built[name], name
     assert not hasattr(dynamics, "__path__")
@@ -73,8 +75,6 @@ def test_bell_state_tensor():
     # normalized so every component lives in [-1/4, 1/4]; exact, since
     # every evolved pair starts from this tensor
     assert np.array_equal(u, np.diag([0.25, 0.25, -0.25, 0.25]))
-    # shared_state starts from a literal copy of this tensor
-    assert np.array_equal(dynamics._BELL, bloch_from_density(bell_state()))
     # rank one and pure
     np.testing.assert_allclose(rho @ rho, rho, atol=1e-15)
 
@@ -249,13 +249,28 @@ def test_semigroup_property():
     np.testing.assert_allclose(one, two, atol=1e-14)
 
 
-def test_shared_state_equals_evolved_bell():
-    for tau in (0.0, 0.3, 1.1, 4.0):
-        direct = shared_state(COEFFS, tau)
-        routed = density_from_bloch(
-            evolve_closed_form(bloch_from_density(bell_state()), COEFFS, tau)
-        )
-        np.testing.assert_allclose(direct, routed, atol=1e-14)
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        COEFFS,
+        LindbladCoefficients(gamma=1.0, n=0.0, omega_eff=1.3),  # zero temperature
+        LindbladCoefficients(gamma=0.7, n=2.5, omega_eff=0.0),  # no rotation
+        LindbladCoefficients(gamma=3e-4, n=1e8, omega_eff=-40.0),
+    ],
+)
+def test_shared_state_equals_evolved_bell(coeffs):
+    # the X matrix built directly is the Bell tensor evolved and reassembled,
+    # bit for bit, for a scalar tau and for stacks of any shape; taus from 0
+    # through e^(-a tau/2) underflowing to subnormals and to 0
+    rng = np.random.default_rng(31)
+    taus = np.concatenate([[0.0, 1e-300, 0.3, 1.1, 4.0], rng.uniform(0.0, 50.0, 60)]) / coeffs.a
+    taus = np.concatenate([taus, [1450.0 / coeffs.a, 1600.0 / coeffs.a]])
+    u0 = bloch_from_density(bell_state())
+    for tau in (0.3, 0.0, taus, taus[:7].reshape(7, 1)):
+        direct = shared_state(coeffs, tau)
+        routed = density_from_bloch(evolve_closed_form(u0, coeffs, tau))
+        assert direct.shape == np.shape(tau) + (4, 4)
+        assert np.array_equal(direct, routed)
         check_density_matrix(direct)
 
 

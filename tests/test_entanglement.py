@@ -300,6 +300,34 @@ def test_bisection_agrees_from_very_hot_to_very_cold_baths(beta_omega, velocity,
     assert sudden_death_time_bisection(coeffs) == pytest.approx(t, rel=1e-12, abs=0.0)
 
 
+def _checked_bisection(coeffs):
+    # the same bisection with one checked float concurrence_closed_form call
+    # per probe
+    if coeffs.n == 0.0:
+        return math.inf
+    lo, hi = 0.0, 1.0 / coeffs.a
+    while concurrence_closed_form(coeffs, hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if concurrence_closed_form(coeffs, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("coupling", list(Coupling))
+def test_bisection_probes_the_checked_curve_bit_for_bit(coupling):
+    for beta_omega in (0.01, 0.5, 5.0, 50.0, 699.0, 705.0, 720.0, 740.0, 746.0):
+        for velocity in (0.0, 1e-5, 0.01, 0.5, 0.99):
+            det = DetectorParams(omega=1.0, lam=1.0, velocity=velocity, coupling=coupling)
+            coeffs = lindblad_coefficients(det, BathParams(beta=beta_omega))
+            expected = _checked_bisection(coeffs)
+            assert sudden_death_time_bisection(coeffs) == expected, (beta_omega, velocity)
+
+
 def test_death_time_decreases_with_occupation():
     times = [
         sudden_death_time(LindbladCoefficients(gamma=1.0, n=n, omega_eff=0.0))
