@@ -68,12 +68,15 @@ def _arrays() -> dict:
         "_N_DOWN": l_up @ l_down,  # projector on the excited moving qubit
         "_N_UP": l_down @ l_up,
         "_SZ": np.kron(pauli[3], i2),
-        "_EYE16": np.eye(16),
+        "_EYE4": np.eye(4),
     }
-    # the channels as 16x16 superoperators on row-major flattened 4x4 matrices:
-    # column k is the channel of the k-th matrix unit
+    # every channel is the identity on the partner, so each is a 4x4
+    # superoperator on the moving qubit's (m, m') pair, flattened as 2m + m':
+    # column k is the channel of the matrix unit E_mm' x E_00, read at the
+    # entries (2m, 2m'), the flat indices 0, 2, 8 and 10
+    units = np.kron(arrays["_EYE4"].reshape(4, 2, 2), [[1.0, 0.0], [0.0, 0.0]])
     arrays["_S_ROT"], arrays["_S_DOWN"], arrays["_S_UP"] = (
-        c.reshape(16, 16).T for c in _channels(arrays["_EYE16"].reshape(16, 4, 4) + 0j, arrays)
+        c[:, ::2, ::2].reshape(4, 4).T for c in _channels(units, arrays)
     )
     return arrays
 
@@ -281,33 +284,45 @@ def evolve_numeric(rho0: np.ndarray, coeffs: LindbladCoefficients, tau: float) -
 
     ``tau`` is split into ``n`` equal steps no longer than
     :func:`default_rk4_step`, so ``a*h <= 0.01`` keeps the local
-    truncation error near the roundoff floor.  The generator ``L`` is
-    linear and constant: as a 16x16 matrix on flattened states it is the
-    rate-weighted sum of three channel superoperators (rotation, decay,
-    excitation), built once, on first use, from :func:`gksl_generator`'s
-    own channel terms.  One step is the matrix
-    ``P(hL) = I + hL(I + hL(I + hL(I + hL/4)/3)/2)`` and ``n`` steps are
-    its ``n``-th power.  A final check emits :class:`PositivityWarning`
-    if roundoff has pushed the state further than 1e-8 below zero, or
-    its trace or Hermiticity past the 1e-12 that
+    truncation error near the roundoff floor.  The generator is linear,
+    constant and the identity on the partner, so it is a 4x4 matrix ``L``
+    on the moving qubit's (m, m') pair: the rate-weighted sum of three
+    channel superoperators (rotation, decay, excitation), built once, on
+    first use, from :func:`gksl_generator`'s own channel terms.  One step
+    is ``P(hL) = I + hL(I + hL(I + hL(I + hL/4)/3)/2)``; its ``n``-th power
+    acts on the state regrouped as rows (m, m'), columns (a, a').  It
+    takes one 4x4 matrix, not a stack, and refuses a ``tau`` whose step
+    count overflows a float.  A final check emits
+    :class:`PositivityWarning` if roundoff has pushed the state further
+    than 1e-8 below zero, or its trace or Hermiticity past the 1e-12 that
     :func:`check_density_matrix` allows; the trace drifts by ~1.6e-17
     per step, so this fires from ~6e4 steps on.
     """
+    if np.shape(rho0) != (4, 4):
+        raise ValueError(f"evolve_numeric takes one 4x4 matrix, got shape {np.shape(rho0)}")
     rho = check_density_matrix(rho0)
     if not 0.0 <= tau < math.inf:
         raise ValueError(f"tau must be non-negative and finite, got {tau!r}")
     if tau == 0.0:
         return rho.copy()
-    n = max(1, math.ceil(tau / default_rk4_step(coeffs)))
-    # h L as a 16x16 matrix, weighted as gksl_generator weights its channels
+    dt = default_rk4_step(coeffs)
+    if tau / dt == math.inf:
+        raise ValueError(f"tau = {tau!r} in steps of at most {dt!r} is too many steps to count")
+    n = max(1, math.ceil(tau / dt))
+    # h L on the moving qubit's (m, m') pair, weighted as gksl_generator
+    # weights its channels
     w_rot, w_down, w_up = _weights(coeffs)
     arrays = _arrays()
     hl = (tau / n) * (
         w_rot * arrays["_S_ROT"] + w_down * arrays["_S_DOWN"] + w_up * arrays["_S_UP"]
     )
-    eye = arrays["_EYE16"]
+    eye = arrays["_EYE4"]
     step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
-    rho = (np.linalg.matrix_power(step, n) @ rho.ravel()).reshape(4, 4)
+    # the state regrouped as rows (m, m') and columns (a, a'): the channel
+    # acts on each column, and the partner's indices ride along
+    pairs = rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    pairs = np.linalg.matrix_power(step, n) @ pairs
+    rho = pairs.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     low = np.linalg.eigvalsh(rho).min()
     drift = abs(rho.trace() - 1.0)
     herm = np.abs(rho - rho.conj().T).max()

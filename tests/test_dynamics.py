@@ -59,8 +59,10 @@ def test_module_serves_exactly_its_built_arrays():
     # refuses any other name
     built = dynamics._arrays()
     assert {"PAULI", "PAULI_PAIR", "_S_ROT", "_S_DOWN", "_S_UP"} <= built.keys()
-    # shared_state builds its X matrix directly: no Bell tensor is kept
+    # shared_state builds its X matrix directly: no Bell tensor is kept, and
+    # evolve_numeric steps the moving qubit's 4x4 channel, not a 16x16 one
     assert "_BELL" not in built
+    assert "_EYE16" not in built
     for name in built:
         assert getattr(dynamics, name) is built[name], name
     assert not hasattr(dynamics, "__path__")
@@ -343,23 +345,80 @@ def test_rk4_propagator_matches_explicit_steps(steps, absent):
     )
 
 
-def test_channel_superoperators_reproduce_the_generator():
-    # the import-time 16x16 channels applied to a random stack of 4x4
-    # matrices (not states), weighted by each rate as gksl_generator weights them
-    rng = np.random.default_rng(16)
-    stack = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
-    flat = stack.reshape(6, 16)
-    rot, down, up = (
-        (flat @ s.T).reshape(6, 4, 4) for s in (dynamics._S_ROT, dynamics._S_DOWN, dynamics._S_UP)
-    )
-    for coeffs in (
-        _random_coeffs(rng),
+def _generator_16(coeffs):
+    # the generator as a 16x16 matrix on row-major flattened 4x4 matrices,
+    # built from gksl_generator on all 16 matrix units: column k is the
+    # generator applied to the k-th unit
+    return gksl_generator(np.eye(16).reshape(16, 4, 4), coeffs).reshape(16, 16).T
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        LindbladCoefficients(gamma=0.9, n=0.7, omega_eff=1.6),
         LindbladCoefficients(gamma=1.3, n=0.0, omega_eff=2.0),
         LindbladCoefficients(gamma=0.7, n=0.4, omega_eff=0.0),
-    ):
-        g, n = coeffs.gamma, coeffs.n
-        got = -0.5j * coeffs.omega_eff * rot + g * (n + 1.0) * down + g * n * up
-        np.testing.assert_allclose(got, gksl_generator(stack, coeffs), rtol=0, atol=1e-15)
+    ],
+    ids=["general", "n=0", "omega_eff=0"],
+)
+def test_generator_is_the_moving_qubit_channel_times_the_partner_identity(coeffs):
+    # the 4x4 channel on the (m, m') pair, flattened as 2m + m' and weighted
+    # as gksl_generator weights its channels, tensored with the identity on
+    # the partner's (a, a') pair, is the whole generator: flat index
+    # 4(2m + a) + 2m' + a' of a 4x4 matrix
+    g, n = coeffs.gamma, coeffs.n
+    s = (
+        -0.5j * coeffs.omega_eff * dynamics._S_ROT
+        + g * (n + 1.0) * dynamics._S_DOWN
+        + g * n * dynamics._S_UP
+    )
+    full = np.kron(s, np.eye(4)).reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+    generator = _generator_16(coeffs)
+    np.testing.assert_allclose(full.reshape(16, 16), generator, rtol=0, atol=1e-15)
+    # the pair (a, a') = (0, 0) sits at flat indices 0, 2, 8 and 10
+    pair = [0, 2, 8, 10]
+    np.testing.assert_allclose(generator[np.ix_(pair, pair)], s, rtol=0, atol=1e-15)
+
+
+def _propagator_16(rho, coeffs, tau):
+    # the same RK4 steps as evolve_numeric, on the whole 16x16 generator
+    n = max(1, math.ceil(tau / default_rk4_step(coeffs)))
+    hl = (tau / n) * _generator_16(coeffs)
+    eye = np.eye(16)
+    step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
+    return (np.linalg.matrix_power(step, n) @ np.ravel(rho)).reshape(4, 4)
+
+
+def test_rk4_on_the_moving_qubit_matches_the_16x16_propagator():
+    # random states carry coherences on the partner as well as the moving
+    # qubit, so every (a, a') column of the regrouped state is exercised
+    rng = np.random.default_rng(21)
+    for i in range(24):
+        rho = _random_density(rng)
+        coeffs = _random_coeffs(rng)
+        if i % 3:
+            coeffs = dataclasses.replace(coeffs, **{("n", "omega_eff")[i % 3 - 1]: 0.0})
+        tau = rng.uniform(0.0, 3.0) / coeffs.a
+        np.testing.assert_allclose(
+            evolve_numeric(rho, coeffs, tau), _propagator_16(rho, coeffs, tau), rtol=0, atol=1e-15
+        )
+
+
+def test_rk4_refuses_anything_but_one_state():
+    # a stack passes check_density_matrix but has no single evolution here
+    stack = np.stack([bell_state(), np.eye(4) / 4.0])
+    check_density_matrix(stack)
+    for rho in (stack, stack[:1], np.eye(2) / 2.0):
+        with pytest.raises(ValueError, match=rf"one 4x4 matrix, got shape \({np.shape(rho)[0]}, "):
+            evolve_numeric(rho, COEFFS, 1.0)
+
+
+def test_rk4_refuses_a_step_count_that_overflows():
+    # a = 1e300 makes the step 1e-302, and tau / step overflows to inf
+    coeffs = LindbladCoefficients(gamma=1e300, n=0.0, omega_eff=0.0)
+    assert 1e10 / default_rk4_step(coeffs) == math.inf
+    with pytest.raises(ValueError, match=r"tau = 10000000000\.0 .* 1e-302 .*too many steps"):
+        evolve_numeric(bell_state(), coeffs, 1e10)
 
 
 def test_rk4_warns_when_its_trace_drifts_past_the_state_check():
