@@ -19,6 +19,7 @@ import cmath
 import functools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -541,7 +542,15 @@ def main(argv: list[str] | None = None) -> int:
         # computing one (exit 2 or 3) must leave stdout empty
         pieces = render(cols, command.run(cfg))
         if cfg.output is None:
-            sys.stdout.writelines(pieces)
+            try:
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
+            except OSError as exc:
+                # a reader that closed the pipe (`| head`): as in the Python
+                # docs' note on SIGPIPE, stdout then points at os.devnull, so
+                # the exit-time flush of what is still buffered cannot fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise ConfigError(f"cannot write output: {exc}") from None
         else:
             try:
                 with open(cfg.output, "w") as out:

@@ -852,6 +852,24 @@ def test_exit_two_on_unwritable_output(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_exit_two_when_the_reader_closes_stdout():
+    # `atombath concurrence ... | head -c 10`: ~1.3 MB of rows fill the pipe,
+    # the reader takes 10 bytes and leaves, and the next write meets EPIPE
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen(
+        [sys.executable, "-m", "atombath", "concurrence", "--tau", "0:10:2000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(10) == b"beta_omega"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert code == 2
+    assert err.startswith("error: cannot write output: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 @pytest.mark.parametrize(
     "exc, code",
     [(np.linalg.LinAlgError("synthetic breakdown"), 3), (ValueError("synthetic"), 2)],

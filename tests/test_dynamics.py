@@ -499,6 +499,87 @@ def test_check_density_matrix_rejects_stacks_of_other_shapes():
         check_density_matrix(np.full(4, 0.25))
 
 
+def _with_lowest_eigenvalue(low):
+    # a unit-trace diagonal state: its eigenvalues are its entries, exactly
+    return np.diag([0.5, 0.3, 0.2 - low, low]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "low, accepted",
+    [(-1e-10, True), (-1.0001e-10, False), (-9.95e-11, True)],
+    ids=["at-the-rule", "just-past-it", "eigenvalue-path"],
+)
+def test_check_density_matrix_positivity_border(low, accepted):
+    # eigenvalues down to -1e-10 pass; the shifted Cholesky fast accept fails
+    # below -(1e-10 - 1e-12), where the eigenvalue rule decides
+    rho = _with_lowest_eigenvalue(low)
+    stack = shared_state(COEFFS, np.linspace(0.0, 3.0, 5))
+    stack[3] = rho
+    if accepted:
+        assert np.array_equal(check_density_matrix(rho), rho)
+        assert np.array_equal(check_density_matrix(stack), stack)
+        return
+    with pytest.raises(ValueError, match=r"^matrix has negative eigenvalue -1\.000e-10$"):
+        check_density_matrix(rho)
+    with pytest.raises(ValueError, match=r"^state 3: matrix has negative eigenvalue -1\.000e-10$"):
+        check_density_matrix(stack)
+
+
+def test_check_density_matrix_accepts_through_cholesky_without_eigenvalues(monkeypatch):
+    # -9.8e-11 is above the shift: the factorisation alone accepts it
+    def no_eigenvalues(rho):
+        raise AssertionError("eigvalsh called on states the fast accept takes")
+
+    states = shared_state(COEFFS, np.linspace(0.0, 30.0, 64))
+    states[7] = _with_lowest_eigenvalue(-9.8e-11)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+    check_density_matrix(states)
+    check_density_matrix(bell_state())
+    with pytest.raises(AssertionError, match="eigvalsh"):
+        check_density_matrix(_with_lowest_eigenvalue(-9.95e-11))
+
+
+def test_check_density_matrix_keeps_the_eigenvalue_rule_on_random_states():
+    # the reference is the rule written out: reject where eigvalsh's smallest
+    # eigenvalue is below -1e-10
+    rng = np.random.default_rng(20261022)
+    count = 2000
+    g = rng.normal(size=(count, 4, 4)) + 1j * rng.normal(size=(count, 4, 4))
+    unitaries, _ = np.linalg.qr(g)
+    # smallest eigenvalues near the rule, near the Cholesky shift, and wider
+    centre = np.where(rng.random(count) < 0.5, -1e-10, -(1e-10 - 1e-12))
+    width = rng.choice([2e-12, 2e-11, 1e-9], size=count, p=[0.6, 0.25, 0.15])
+    low = centre + width * rng.uniform(-1.0, 1.0, size=count)
+    rest = rng.dirichlet([0.3, 0.3, 0.3], size=count) * (1.0 - low)[:, None]
+    spectra = np.concatenate([rest, low[:, None]], axis=1)
+    rho = np.einsum("nij,nj,nkj->nik", unitaries, spectra, unitaries.conj())
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    expected = np.linalg.eigvalsh(rho).min(axis=-1) >= -1e-10
+    # the sample straddles the rule, and the fast accept takes part of it
+    assert 0.2 < expected.mean() < 0.8
+    shift = (1e-10 - 1e-12) * np.eye(4)
+    fast = []
+    for state, ok in zip(rho, expected):
+        try:
+            check_density_matrix(state)
+            accepted = True
+        except ValueError as exc:
+            assert str(exc).startswith("matrix has negative eigenvalue "), exc
+            accepted = False
+        assert accepted == ok
+        try:
+            np.linalg.cholesky(state + shift)
+            fast.append(True)
+        except np.linalg.LinAlgError:
+            fast.append(False)
+    assert 0 < sum(fast) < expected.sum()
+    # a stack is refused at its first rejected state
+    first = int(np.argmin(expected))
+    with pytest.raises(ValueError, match=rf"^state {first}: matrix has negative eigenvalue"):
+        check_density_matrix(rho)
+    assert np.array_equal(check_density_matrix(rho[expected]), rho[expected])
+
+
 def test_evolve_closed_form_over_a_time_grid_stacks_the_single_tensors():
     u0 = bloch_from_density(_random_density(np.random.default_rng(29)))
     taus = np.linspace(0.0, 4.0, 6)
